@@ -13,11 +13,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .classic import ClassicDCA, TermCapExceeded
@@ -26,6 +24,7 @@ from .geometry import (
     DegenerateRadiusError,
     PathSystem,
     angular_measure,
+    carleman_integral,
     carleman_report,
     check_sector_inequality,
 )
@@ -176,15 +175,7 @@ def cmd_growth(args) -> int:
     radii = parse_radii(args.radii)
     if len(radii) < 2:
         raise InsufficientDynamicRangeError("need several radii for a fit")
-
-    def scan(r):
-        return max_on_circle(spec, r, coarse=args.coarse)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            samples = list(ex.map(scan, radii))
-    else:
-        samples = [scan(r) for r in radii]
+    samples = [max_on_circle(spec, r, coarse=args.coarse) for r in radii]
     out, close = _open_out(args.out)
     try:
         out.write("r,log_max_mod,argmax_theta,domain_id\n")
@@ -281,12 +272,10 @@ def _bundled_checks():
 
     def chk_wos_dominance():
         sysm = PathSystem.equally_spaced_rays(2)
-        z1 = 2.0 * cmath.exp(1j * math.pi / 2)
+        z1 = -2j  # domain 1 of two rays is the lower half plane
         est = estimate_harmonic_measure(
             sysm, 1, 8.0, z1, WosConfig(n_walks=20000, seed=7)
         )
-        from .geometry import carleman_integral
-
         bound = (8.0 / math.pi) * math.exp(
             -math.pi * carleman_integral(sysm, 1, abs(z1), 8.0)
         )
@@ -358,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--f", help="inline spec (poly:..., classic:n, series:@file)")
     g.add_argument("--radii", required=True)
     g.add_argument("--coarse", type=int, default=128)
-    g.add_argument("--threads", type=int, default=1)
     g.add_argument("--out", default="growth.csv")
     g.add_argument("--fit-out", default="orderfit.json")
     g.set_defaults(func=cmd_growth)

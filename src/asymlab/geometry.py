@@ -1,9 +1,11 @@
 """Segmental paths, the domains between adjacent paths, angular measures,
 and the harmonic-measure/growth bound formulas attached to them.
 
-Unbounded domains are handled by closing the two bounding paths with a far
-circular arc and using winding-number membership; all geometry stays on
-polyline data.
+All geometry stays on polyline data.  Angular measures are read off the
+directions in which the two bounding paths cross a circle; the Carleman
+integral is split at the radii where that measure is not smooth.  Point
+membership closes the two bounding paths with a far circular arc and takes
+a winding number.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logcx import wrap_angle
+from .quadrature import integrate_segment
 
 TWO_PI = 2.0 * math.pi
 _DEGEN_EPS = 1e-12
 _ARC_STEP = TWO_PI / 720.0
+# critical radii closer than this (relative) to R1 or R are not cut at:
+# a shorter piece would put quadrature nodes inside the degenerate window
+_SLIVER = 1e-6
 
 
 class DegenerateRadiusError(RuntimeError):
@@ -93,9 +99,23 @@ class SegmentalPath:
         s = -b + math.sqrt(b * b + radius**2 - abs(a) ** 2)
         return a + s * u
 
+    def critical_radii(self) -> list:
+        """Sorted radii where the crossings with |z| = t appear, vanish or
+        turn non-smooth: vertex moduli, and each element's closest approach
+        to 0 when it lies inside that segment or the terminal ray."""
+        radii = {abs(v) for v in self.vertices[1:]}
+        # the truncated terminal ray reaches past its closest approach
+        for a, b in self.elements(0.0):
+            d = b - a
+            s = -(a * d.conjugate()).real / abs(d) ** 2
+            if 0.0 < s < 1.0:
+                radii.add(abs(a + s * d))
+        return sorted(radii)
+
     def circle_crossing_angles(self, t: float) -> list:
-        """Angles of intersections of the path with |z| = t; raises
-        DegenerateRadiusError on tangencies or vertices at radius t."""
+        """Intersections of the path with |z| = t as (angle, outward)
+        pairs, outward being True where |z| increases along the path;
+        raises DegenerateRadiusError on tangencies or vertices at radius t."""
         if t <= 0:
             raise ValueError("radius must be positive")
         for v in self.vertices[1:]:
@@ -118,7 +138,9 @@ class SegmentalPath:
             if disc < 0:
                 continue
             root = math.sqrt(disc)
-            for s in ((-qb - root) / (2 * qa), (-qb + root) / (2 * qa)):
+            lo, hi = (-qb - root) / (2 * qa), (-qb + root) / (2 * qa)
+            # the smaller root enters the disk, the larger one leaves it
+            for s, outward in ((lo, False), (hi, True)):
                 if -_DEGEN_EPS < s < _DEGEN_EPS or abs(s - 1.0) < _DEGEN_EPS:
                     # crossing at a shared vertex is caught above; at the
                     # truncation end it is beyond reach and ignorable
@@ -126,7 +148,7 @@ class SegmentalPath:
                         raise DegenerateRadiusError("crossing at segment end")
                     continue
                 if 0.0 < s < 1.0:
-                    angles.append(wrap_angle(cmath.phase(a + s * d)))
+                    angles.append((wrap_angle(cmath.phase(a + s * d)), outward))
         return angles
 
     def is_simple(self) -> bool:
@@ -332,34 +354,33 @@ def point_in_domain(sys: PathSystem, j: int, p: complex) -> bool:
 # angular measure and the growth-bound formulas
 
 def angular_measure(sys: PathSystem, j: int, t: float) -> AngularSlice:
-    """Arcs of |z| = t lying in domain j, found from boundary crossings
-    plus a midpoint membership test."""
+    """Arcs of |z| = t lying in domain j, read off the boundary crossings.
+
+    Domain j lies left of path j and right of path j+1, both traversed
+    outward, so a counterclockwise arc between consecutive crossings is
+    inside exactly when it starts at an outward crossing of path j or an
+    inward crossing of path j+1; for a single path every arc is inside.
+    Phi_j(t) is defined where the two bounding paths do not meet outside
+    radius t, which normalize_collection guarantees beyond its disk.
+    Raises DegenerateRadiusError where circle_crossing_angles does: when
+    |z| = t passes through a vertex of either path or touches one.
+    """
     g1, g2 = sys.domain_boundary(j)
-    angles = list(g1.circle_crossing_angles(t))
-    if g2 is not g1:
-        angles.extend(g2.circle_crossing_angles(t))
-    r_big = 4.0 * max(t, sys.max_vertex_radius, 1.0)
-    poly = _domain_polygon(sys, j, r_big)
-
-    def inside(theta):
-        return _winding_number(poly, t * cmath.exp(1j * theta)) != 0
-
-    if not angles:
-        # circle is entirely inside or entirely outside the domain
-        full = inside(0.123456)  # arbitrary probe angle off any crossing
-        arcs = ((-math.pi, math.pi),) if full else ()
-        return AngularSlice(t, arcs, TWO_PI if full else 0.0)
-    angles.sort()
+    if g2 is g1:
+        crossings = [(th, True) for th, _ in g1.circle_crossing_angles(t)]
+    else:
+        crossings = g1.circle_crossing_angles(t)
+        crossings.extend((th, not out) for th, out in g2.circle_crossing_angles(t))
+    crossings.sort()
     arcs = []
     total = 0.0
-    for i, th in enumerate(angles):
-        th_next = angles[(i + 1) % len(angles)]
-        if i + 1 == len(angles):
+    for i, (th, starts_inside) in enumerate(crossings):
+        th_next = crossings[(i + 1) % len(crossings)][0]
+        if i + 1 == len(crossings):
             th_next += TWO_PI
         if th_next - th < 1e-15:
             continue
-        mid = 0.5 * (th + th_next)
-        if inside(mid):
+        if starts_inside:
             arcs.append((th, th_next))
             total += th_next - th
     total = min(total, TWO_PI)
@@ -369,35 +390,45 @@ def angular_measure(sys: PathSystem, j: int, t: float) -> AngularSlice:
 def carleman_integral(
     sys: PathSystem, j: int, R1: float, R: float, tol: float = 1e-10
 ) -> float:
-    """Adaptive integral of 1/(t * Phi_j(t)) over [R1, R], with jitter at
-    degenerate radii."""
+    """Integral of 1/(t * Phi_j(t)) over [R1, R], split at the critical
+    radii of both bounding paths so each adaptive piece is smooth and no
+    quadrature node meets a degenerate circle; tol is prorated by length."""
     if not 0 < R1 <= R:
         raise ValueError("need 0 < R1 <= R")
     if R1 == R:
         return 0.0
-
-    def phi_at(t):
-        for k in (0, 1, -1, 2, -2, 3, -3):
-            try:
-                return angular_measure(sys, j, t * (1.0 + 1e-9 * k)).phi
-            except DegenerateRadiusError:
-                continue
-        raise DegenerateRadiusError("jitter exhausted at t=%g" % t)
 
     def integrand(ts):
         ts = np.atleast_1d(ts)
         out = np.empty(ts.shape, dtype=float)
         for i, tv in enumerate(ts):
             t = float(np.real(tv))
-            phi = phi_at(t)
+            phi = angular_measure(sys, j, t).phi
             if phi <= 0:
                 raise EmptySliceError("domain %d misses the circle at t=%g" % (j, t))
             out[i] = 1.0 / (t * phi)
         return out
 
-    from .quadrature import integrate_segment
+    g1, g2 = sys.domain_boundary(j)
+    crit = {r for g in (g1, g2) for r in g.critical_radii()}
+    cuts = sorted(r for r in crit if R1 * (1 + _SLIVER) < r < R * (1 - _SLIVER))
+    ends = [R1, *cuts, R]
+    graded = any(R1 * (1 - _SLIVER) <= r <= R * (1 + _SLIVER) for r in crit)
+    total = 0.0
+    for a, b in zip(ends, ends[1:]):
+        piece_tol = tol * ((b - a) / (R - R1))
+        if graded:
+            # Phi can behave like sqrt(t - r) at a critical radius r; the
+            # substitution t = a + (b - a) u^2 (3 - 2u) makes that smooth,
+            # so the quadrature never refines toward the piece ends
+            def piece(us, a=a, b=b):
+                ts = a + (b - a) * us * us * (3 - 2 * us)
+                return integrand(ts) * (b - a) * 6 * us * (1 - us)
 
-    return float(integrate_segment(integrand, R1, R, tol).value.real)
+            total += integrate_segment(piece, 0.0, 1.0, piece_tol).value.real
+        else:
+            total += integrate_segment(integrand, a, b, piece_tol).value.real
+    return float(total)
 
 
 def carleman_report(

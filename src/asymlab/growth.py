@@ -17,14 +17,13 @@ from .classic import ClassicDCA, eval_dca
 from .construct import ConstructedF, eval_f, residual_lc
 from .geometry import (
     CarlemanReport,
-    DegenerateRadiusError,
     EmptySliceError,
     KappaParams,
     PathSystem,
     angular_measure,
     carleman_report,
 )
-from .logcx import LogComplex
+from .logcx import LogComplex, wrap_angle
 from .specs import Polynomial, Series
 
 _REFINE_TOL = 1e-6  # angular resolution of the golden-section polish
@@ -71,8 +70,6 @@ def eval_log(spec: EntireSpec, z: complex) -> LogComplex:
 
 
 def declared_order(spec: EntireSpec) -> float:
-    if isinstance(spec, (Constructed, Classic)):
-        return spec.declared_order
     return spec.declared_order
 
 
@@ -190,7 +187,9 @@ def max_on_circle(
 
     Coarse angular probing (restricted to the domain's arcs when given)
     followed by golden-section polish around the best three local maxima,
-    to angular resolution 1e-6.
+    to angular resolution 1e-6.  A domain restriction at a critical radius
+    of its bounding paths raises DegenerateRadiusError, as angular_measure
+    does.
     """
     if r <= 0:
         raise ValueError("r must be > 0")
@@ -205,15 +204,7 @@ def max_on_circle(
     else:
         sys_, j = sys_domain
         domain_id = j
-        sl = None
-        for k in (0, 1, -1, 2, -2):
-            try:
-                sl = angular_measure(sys_, j, r * (1.0 + 1e-9 * k))
-                break
-            except DegenerateRadiusError:
-                continue
-        if sl is None:
-            raise DegenerateRadiusError("could not slice circle at r=%g" % r)
+        sl = angular_measure(sys_, j, r)
         if not sl.arcs:
             raise EmptySliceError("domain %d misses the circle of radius %g" % (j, r))
         total = sum(b - a for a, b in sl.arcs)
@@ -265,8 +256,6 @@ def max_on_circle(
         used += ev
         if val > best_val:
             best_th, best_val = th, val
-    from .logcx import wrap_angle
-
     return GrowthSample(r, best_val, wrap_angle(best_th), domain_id, used)
 
 

@@ -109,12 +109,6 @@ def test_growth_single_radius_fails(tmp_path):
     assert run(tmp_path, "growth", "--f", "poly:0,1", "--radii", "5", "--out", "g.csv") == 2
 
 
-def test_growth_threads_match_serial(tmp_path):
-    run(tmp_path, "growth", "--f", "poly:1,1", "--radii", "2,3,4,5", "--out", "a.csv", "--fit-out", "fa.json")
-    run(tmp_path, "growth", "--f", "poly:1,1", "--radii", "2,3,4,5", "--threads", "4", "--out", "b.csv", "--fit-out", "fb.json")
-    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
-
-
 def test_domain_closed_form(tmp_path):
     rc = run(
         tmp_path, "domain", "--rays", "3", "--R1", "1", "--R", "10",
@@ -130,6 +124,18 @@ def test_domain_closed_form(tmp_path):
     lines = (tmp_path / "s.csv").read_text().strip().splitlines()
     assert lines[0] == "j,t,arc_start,arc_end,phi"
     assert len(lines) == 1 + 6  # 3 domains x 2 radii, one arc each
+
+
+def test_domain_critical_radius_exit_3(tmp_path):
+    from asymlab.geometry import PathSystem, SegmentalPath
+
+    sysm = PathSystem((SegmentalPath([0, 1, 1 + 10j], 1j), SegmentalPath.ray(3.0)))
+    (tmp_path / "sys.json").write_text(sysm.to_json())
+    rc = run(
+        tmp_path, "domain", "--system", "sys.json", "--R", "12",
+        "--radii", "1", "--out", "d.json", "--slices-out", "s.csv",
+    )
+    assert rc == 3  # |z| = 1 passes through the corner of the L
 
 
 def test_domain_wos_seed_echoed(tmp_path):
@@ -150,6 +156,13 @@ def test_check_filter_and_exit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "carleman-rays" in out and "PASS" in out
     doc = json.loads((tmp_path / "check.json").read_text())
+    assert all(row["pass"] for row in doc)
+
+
+def test_check_unfiltered_passes(tmp_path):
+    assert run(tmp_path, "check") == 0
+    doc = json.loads((tmp_path / "check.json").read_text())
+    assert len(doc) == 5
     assert all(row["pass"] for row in doc)
 
 

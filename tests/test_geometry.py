@@ -44,21 +44,48 @@ def test_quarter_plane_measure():
 
 def test_l_shaped_path_against_dense_scan():
     L = SegmentalPath([0, 1, 1 + 10j], 1j)
-    sysm = PathSystem((L, SegmentalPath.ray(math.pi)))
-    for t in (0.5, 2.0):
-        sl = angular_measure(sysm, 1, t)
-        thetas = np.linspace(-math.pi, math.pi, 100000, endpoint=False)
-        hits = sum(
-            point_in_domain(sysm, 1, t * cmath.exp(1j * th)) for th in thetas[::20]
-        )
-        oracle = hits / len(thetas[::20]) * 2.0 * math.pi
-        assert abs(sl.phi - oracle) <= 2.0 * math.pi * 1e-3 + 2 * (2 * math.pi / 5000)
+    cases = [(PathSystem((L, SegmentalPath.ray(math.pi))), 1, (0.5, 2.0), 5000)]
+    for seed in range(4):
+        sysm = make_random_system(seed)
+        cases += [(sysm, 1, (0.7, 3.0), 400), (sysm, sysm.n, (1.5,), 400)]
+    # one path meeting |z| = 2 three times: out, back in, out again
+    multi = SegmentalPath([0, 3, 2 + 2j, 1j], -1)
+    cases.append((PathSystem((multi,)), 1, (1.5, 2.0, 2.5), 400))
+    for sysm, j, radii, probes in cases:
+        thetas = np.linspace(-math.pi, math.pi, probes, endpoint=False)
+        for t in radii:
+            sl = angular_measure(sysm, j, t)
+            ends = np.array([e for arc in sl.arcs for e in arc])
+            hits = 0
+            for th in thetas:
+                member = point_in_domain(sysm, j, t * cmath.exp(1j * th))
+                hits += member
+                # away from the crossings the arcs and the winding number agree
+                if np.min(np.abs((ends - th + math.pi) % (2 * math.pi) - math.pi)) > 1e-6:
+                    in_arcs = any(a < th + k * 2 * math.pi < b for a, b in sl.arcs for k in (0, 1))
+                    assert in_arcs == member, (t, th)
+            oracle = hits / probes * 2.0 * math.pi
+            assert abs(sl.phi - oracle) <= 2.0 * math.pi * 1e-3 + len(ends) * (2 * math.pi / probes)
+            if sysm.n == 1:
+                assert sl.phi == 2.0 * math.pi
 
 
 def test_degenerate_radius_raises():
     p = SegmentalPath([0, 1, 1 + 2j], 1j)
     with pytest.raises(DegenerateRadiusError):
         p.circle_crossing_angles(1.0)  # vertex exactly at radius 1
+    # vertex moduli plus interior closest approaches of a segment and a ray
+    paths = {
+        (1.0, math.sqrt(5.0)): p,
+        (2.0, 2.0 * math.sqrt(2.0)): SegmentalPath([0, 2, 2 + 2j, -2 + 2j], -1),
+        (2.0, math.sqrt(5.0)): SegmentalPath([0, 2 + 1j], -1j),
+        (): SegmentalPath.ray(0.3),
+    }
+    for want, path in paths.items():
+        assert path.critical_radii() == pytest.approx(list(want), rel=1e-15)
+        for v in path.vertices[1:]:
+            with pytest.raises(DegenerateRadiusError):
+                path.circle_crossing_angles(abs(v))
 
 
 def test_slices_sum_below_full_circle():
@@ -83,6 +110,32 @@ def test_carleman_closed_form_slit_plane():
     sysm = PathSystem((SegmentalPath.ray(0.0),))
     got = carleman_integral(sysm, 1, 1.0, math.e)
     assert abs(got - 1.0 / (2.0 * math.pi)) <= 1e-8
+
+
+def test_carleman_split_at_critical_radii():
+    # R1 = 1 is the modulus of the L's corner, where Phi grows like
+    # sqrt(t - 1); R = 1.0001 puts a short piece right after it
+    L = SegmentalPath([0, 1, 1 + 10j], 1j)
+    sysm = PathSystem((L, SegmentalPath.ray(math.pi)))
+    x, w = np.polynomial.legendre.leggauss(8)
+    for R1, R in ((1.0, 12.0), (0.1, 1.0001)):
+        got = carleman_integral(sysm, 1, R1, R)
+        # fine composite Gauss-Legendre rule, panels graded toward the corner
+        grade = np.linspace(0.0, 1.0, 201) ** 2
+        edges = np.unique(np.concatenate(
+            [a + (b - a) * grade for a, b in ((R1, max(R1, 1.0)), (max(R1, 1.0), R))]
+        ))
+        want = 0.0
+        for a, b in zip(edges, edges[1:]):
+            ts = 0.5 * (a + b) + 0.5 * (b - a) * x
+            want += 0.5 * (b - a) * sum(
+                wi / (t * angular_measure(sysm, 1, t).phi) for wi, t in zip(w, ts)
+            )
+        assert abs(got - want) <= 1e-9
+    # ends a hair away from the corner neither raise nor jump
+    at_corner = carleman_integral(sysm, 1, 0.1, 1.0)
+    for R in (1.0 - 1e-10, 1.0 + 1e-10):
+        assert abs(carleman_integral(sysm, 1, 0.1, R) - at_corner) <= 1e-9
 
 
 def test_carleman_monotone_in_R():

@@ -5,7 +5,7 @@ import pytest
 
 from asymlab.classic import ClassicDCA
 from asymlab.construct import ConstructedF, eval_f
-from asymlab.geometry import PathSystem, SegmentalPath
+from asymlab.geometry import DegenerateRadiusError, PathSystem, SegmentalPath
 from asymlab.growth import (
     Classic,
     Constructed,
@@ -73,6 +73,17 @@ def test_domains_always_meet_circles():
         for t in (0.5, 3.0):
             gs = max_on_circle(Polynomial([0, 1]), t, (sysm, j), coarse=64)
             assert gs.log_max_mod <= math.log(t) + 1e-9
+
+
+def test_max_on_circle_critical_radius_raises():
+    # the circle through the paths' vertices is degenerate for a domain
+    # restriction, exactly as for angular_measure
+    sysm = PathSystem(
+        (SegmentalPath([0, 2], cmath.exp(1j * math.pi / 4)),
+         SegmentalPath([0, -2], cmath.exp(3j * math.pi / 4)))
+    )
+    with pytest.raises(DegenerateRadiusError):
+        max_on_circle(Polynomial([0, 1]), 2.0, (sysm, 1), coarse=64)
 
 
 def test_fit_order_exact_power_law():
