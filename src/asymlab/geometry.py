@@ -23,9 +23,11 @@ from .quadrature import integrate_segment
 TWO_PI = 2.0 * math.pi
 _DEGEN_EPS = 1e-12
 _ARC_STEP = TWO_PI / 720.0
-# critical radii closer than this (relative) to R1 or R are not cut at:
-# a shorter piece would put quadrature nodes inside the degenerate window
-_SLIVER = 1e-6
+# every degeneracy test of circle_crossing_angles fires within
+# _DEGEN_EPS * max(t, 1, element length) of a critical radius (a truncated
+# terminal ray is shorter than 3 max(t, 1)); Carleman quadrature keeps ten
+# times that distance from each critical radius
+_CLEARANCE = 10 * _DEGEN_EPS
 
 
 class DegenerateRadiusError(RuntimeError):
@@ -390,9 +392,17 @@ def angular_measure(sys: PathSystem, j: int, t: float) -> AngularSlice:
 def carleman_integral(
     sys: PathSystem, j: int, R1: float, R: float, tol: float = 1e-10
 ) -> float:
-    """Integral of 1/(t * Phi_j(t)) over [R1, R], split at the critical
-    radii of both bounding paths so each adaptive piece is smooth and no
-    quadrature node meets a degenerate circle; tol is prorated by length."""
+    """Integral of 1/(t * Phi_j(t)) over [R1, R].
+
+    Phi_j is smooth between the critical radii of the two bounding paths.
+    Each critical radius r gets a band of half-width w = _CLEARANCE *
+    max(r, 1, longest segment); bands that overlap are merged.  The gaps
+    between bands are integrated adaptively with tol prorated by length, so
+    no quadrature node lies within w of a critical radius and none meets a
+    degenerate circle.  The part of a band inside [R1, R] counts as its
+    width times the integrand at the band's upper edge; Phi is continuous
+    and at worst square-root-like there, so that errs by O(width^1.5).
+    """
     if not 0 < R1 <= R:
         raise ValueError("need 0 < R1 <= R")
     if R1 == R:
@@ -410,24 +420,36 @@ def carleman_integral(
         return out
 
     g1, g2 = sys.domain_boundary(j)
-    crit = {r for g in (g1, g2) for r in g.critical_radii()}
-    cuts = sorted(r for r in crit if R1 * (1 + _SLIVER) < r < R * (1 - _SLIVER))
-    ends = [R1, *cuts, R]
-    graded = any(R1 * (1 - _SLIVER) <= r <= R * (1 + _SLIVER) for r in crit)
-    total = 0.0
-    for a, b in zip(ends, ends[1:]):
-        piece_tol = tol * ((b - a) / (R - R1))
-        if graded:
-            # Phi can behave like sqrt(t - r) at a critical radius r; the
-            # substitution t = a + (b - a) u^2 (3 - 2u) makes that smooth,
-            # so the quadrature never refines toward the piece ends
-            def piece(us, a=a, b=b):
-                ts = a + (b - a) * us * us * (3 - 2 * us)
-                return integrand(ts) * (b - a) * 6 * us * (1 - us)
-
-            total += integrate_segment(piece, 0.0, 1.0, piece_tol).value.real
+    seg = max((abs(b - a) for g in (g1, g2) for a, b in g.segments()), default=0.0)
+    crit = sorted({r for g in (g1, g2) for r in g.critical_radii()})
+    bands = []
+    for r in crit:
+        w = _CLEARANCE * max(r, 1.0, seg)
+        if bands and r - w <= bands[-1][1]:
+            bands[-1][1] = r + w
         else:
-            total += integrate_segment(integrand, a, b, piece_tol).value.real
+            bands.append([r - w, r + w])
+    total = 0.0
+    a = R1
+    for lo, hi in [*bands, [R, R]]:
+        b = min(lo, R)
+        if b > a:
+            piece_tol = tol * ((b - a) / (R - R1))
+            if crit:
+                # Phi can behave like sqrt(t - r) past a critical radius r;
+                # the substitution t = a + (b - a) u^2 (3 - 2u) makes that
+                # smooth, so the quadrature never refines toward the ends
+                def piece(us, a=a, b=b):
+                    ts = a + (b - a) * us * us * (3 - 2 * us)
+                    return integrand(ts) * (b - a) * 6 * us * (1 - us)
+
+                total += integrate_segment(piece, 0.0, 1.0, piece_tol).value.real
+            else:
+                total += integrate_segment(integrand, a, b, piece_tol).value.real
+        top = min(hi, R)
+        if top > max(lo, a):
+            total += (top - max(lo, a)) * integrand(hi)[0]
+        a = max(a, top)
     return float(total)
 
 

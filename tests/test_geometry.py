@@ -112,30 +112,54 @@ def test_carleman_closed_form_slit_plane():
     assert abs(got - 1.0 / (2.0 * math.pi)) <= 1e-8
 
 
+def _composite_carleman(sysm, j, knees):
+    """Fine composite 8-point Gauss-Legendre rule for the Carleman integral
+    over [knees[0], knees[-1]]; panels are graded toward both ends of every
+    interval between knees (cubically), at most one panel per 1e-6 of its
+    length."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    total = 0.0
+    for a, b in zip(knees, knees[1:]):
+        s = np.linspace(0.0, 1.0, min(200, max(1, int((b - a) * 1e6))) + 1)
+        edges = a + (b - a) * np.where(s < 0.5, 4 * s**3, 1 - 4 * (1 - s) ** 3)
+        for p, q in zip(edges, edges[1:]):
+            ts = 0.5 * (p + q) + 0.5 * (q - p) * x
+            total += 0.5 * (q - p) * sum(
+                wi / (t * angular_measure(sysm, j, t).phi) for wi, t in zip(w, ts)
+            )
+    return total
+
+
 def test_carleman_split_at_critical_radii():
     # R1 = 1 is the modulus of the L's corner, where Phi grows like
     # sqrt(t - 1); R = 1.0001 puts a short piece right after it
     L = SegmentalPath([0, 1, 1 + 10j], 1j)
     sysm = PathSystem((L, SegmentalPath.ray(math.pi)))
-    x, w = np.polynomial.legendre.leggauss(8)
-    for R1, R in ((1.0, 12.0), (0.1, 1.0001)):
-        got = carleman_integral(sysm, 1, R1, R)
-        # fine composite Gauss-Legendre rule, panels graded toward the corner
-        grade = np.linspace(0.0, 1.0, 201) ** 2
-        edges = np.unique(np.concatenate(
-            [a + (b - a) * grade for a, b in ((R1, max(R1, 1.0)), (max(R1, 1.0), R))]
-        ))
-        want = 0.0
-        for a, b in zip(edges, edges[1:]):
-            ts = 0.5 * (a + b) + 0.5 * (b - a) * x
-            want += 0.5 * (b - a) * sum(
-                wi / (t * angular_measure(sysm, 1, t).phi) for wi, t in zip(w, ts)
-            )
-        assert abs(got - want) <= 1e-9
+    for knees in ((1.0, 12.0), (0.1, 1.0, 1.0001)):
+        got = carleman_integral(sysm, 1, knees[0], knees[-1])
+        assert abs(got - _composite_carleman(sysm, 1, knees)) <= 1e-11
     # ends a hair away from the corner neither raise nor jump
     at_corner = carleman_integral(sysm, 1, 0.1, 1.0)
     for R in (1.0 - 1e-10, 1.0 + 1e-10):
         assert abs(carleman_integral(sysm, 1, 0.1, R) - at_corner) <= 1e-9
+    # critical radii 1e-9 apart, and ends placed around them
+    pair = PathSystem(
+        (SegmentalPath([0, 1], 1j), SegmentalPath([0, -(1 + 1e-9)], -1j))
+    )
+    for j in (1, 2):
+        for R1 in (0.5, (1.0 + 1e-9) * (1.0 - 1e-6), 1.0, 1.0 + 5e-10):
+            knees = sorted({R1, *(r for r in (1.0, 1.0 + 1e-9) if r > R1), 4.0})
+            got = carleman_integral(pair, j, R1, 4.0)
+            assert abs(got - _composite_carleman(pair, j, knees)) <= 1e-11
+    # three rotated copies of the L: their corner moduli differ by an ulp
+    turns = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    rotated = PathSystem(
+        tuple(SegmentalPath([v * u for v in L.vertices], 1j * u) for u in turns)
+    )
+    assert len({abs(p.vertices[1]) for p in rotated.paths}) == 2
+    for j in (1, 2, 3):
+        got = carleman_integral(rotated, j, 0.25, 12.0)
+        assert abs(got - _composite_carleman(rotated, j, (0.25, 1.0, 12.0))) <= 1e-11
 
 
 def test_carleman_monotone_in_R():
