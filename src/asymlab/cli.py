@@ -6,8 +6,9 @@ bounds, optionally walk-on-spheres), check (bundled verification suite).
 
 Every run writes a manifest/1 JSON echoing the fully resolved
 configuration, so outputs are reproducible from the manifest alone.
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numerical nonconvergence.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad
+arguments or input files), 3 numerical nonconvergence, 4 internal error
+(any other exception: a bug, reported with its type and traceback).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import sys as _sys
+import traceback
 from pathlib import Path
 
 from .classic import ClassicDCA, TermCapExceeded
@@ -382,12 +384,16 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, FileNotFoundError, TypeError) as e:
+    except (UsageError, ValueError, FileNotFoundError) as e:
         print("error: %s" % e, file=_sys.stderr)
         return 2
     except (QuadratureNonconvergence, TermCapExceeded, DegenerateRadiusError) as e:
         print("nonconvergence: %s" % e, file=_sys.stderr)
         return 3
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=_sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

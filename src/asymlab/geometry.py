@@ -117,7 +117,9 @@ class SegmentalPath:
     def circle_crossing_angles(self, t: float) -> list:
         """Intersections of the path with |z| = t as (angle, outward)
         pairs, outward being True where |z| increases along the path;
-        raises DegenerateRadiusError on tangencies or vertices at radius t."""
+        raises DegenerateRadiusError when t is within _DEGEN_EPS * max(t, 1)
+        of a vertex modulus or of an element's closest approach to 0 (a
+        tangency), the radii critical_radii lists."""
         if t <= 0:
             raise ValueError("radius must be positive")
         for v in self.vertices[1:]:
@@ -130,14 +132,13 @@ class SegmentalPath:
             d = b - a
             qa = abs(d) ** 2
             qb = 2.0 * (a * d.conjugate()).real
+            near = -qb / (2.0 * qa)  # closest approach to 0 on the line
+            if 0.0 < near < 1.0 and abs(abs(a + near * d) - t) < _DEGEN_EPS * max(t, 1.0):
+                raise DegenerateRadiusError("circle tangent at radius %g" % t)
             qc = abs(a) ** 2 - t * t
             disc = qb * qb - 4.0 * qa * qc
-            scale = max(qa * t * t, 1e-300)
-            if abs(disc) < _DEGEN_EPS * scale:
-                if disc >= 0:
-                    raise DegenerateRadiusError("circle tangent near radius %g" % t)
-                continue
-            if disc < 0:
+            if disc < _DEGEN_EPS * max(qa * t * t, 1e-300):
+                # no crossing: a tangency inside the element raised above
                 continue
             root = math.sqrt(disc)
             lo, hi = (-qb - root) / (2 * qa), (-qb + root) / (2 * qa)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classic import ClassicDCA, eval_dca
-from .construct import ConstructedF, eval_f, residual_lc
+from .construct import ConstructedF, eval_f, log_f, residual_lc
 from .geometry import (
     CarlemanReport,
     EmptySliceError,
@@ -67,6 +67,19 @@ def eval_log(spec: EntireSpec, z: complex) -> LogComplex:
     if isinstance(spec, Classic):
         return LogComplex.from_complex(eval_dca(z, spec.cfg, spec.tol))
     return LogComplex.from_complex(spec(z))
+
+
+def _log_mods(spec: EntireSpec, zs: list) -> list:
+    """log|f| at each point of zs: one array evaluation for constructed,
+    polynomial and series specs, point by point for Classic."""
+    if isinstance(spec, Classic):
+        return [eval_log(spec, z).log_mod for z in zs]
+    if isinstance(spec, Constructed):
+        vals = log_f(zs, spec.cf).real
+    else:
+        with np.errstate(divide="ignore"):
+            vals = np.log(np.abs(spec(np.array(zs, dtype=complex))))
+    return [float(v) for v in vals]
 
 
 def declared_order(spec: EntireSpec) -> float:
@@ -156,24 +169,46 @@ class GrowthSample:
     samples_used: int
 
 
-def _golden_max(g, lo, hi, tol):
+def _golden_search(lo, hi, tol):
+    """Golden-section search for a maximum on [lo, hi] to width tol, as a
+    generator: it yields the list of points whose values it needs next,
+    is sent their values, and returns (theta, value, evaluations)."""
     a, b = lo, hi
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
-    gc, gd = g(c), g(d)
+    gc, gd = yield [c, d]
     evals = 2
     while b - a > tol:
         if gc >= gd:
             b, d, gd = d, c, gc
             c = b - _GOLD * (b - a)
-            gc = g(c)
+            (gc,) = yield [c]
         else:
             a, c, gc = c, d, gd
             d = a + _GOLD * (b - a)
-            gd = g(d)
+            (gd,) = yield [d]
         evals += 1
     th = c if gc >= gd else d
     return th, max(gc, gd), evals
+
+
+def _golden_max(g, brackets, tol):
+    """_golden_search on every (lo, hi) bracket, advanced in lockstep: each
+    step calls g (a list of points to a list of values) once, on the points
+    that all unfinished searches need."""
+    searches = [_golden_search(lo, hi, tol) for lo, hi in brackets]
+    results = [None] * len(searches)
+    wanted = {i: next(s) for i, s in enumerate(searches)}
+    while wanted:
+        vals = iter(g([x for pts in wanted.values() for x in pts]))
+        step = {}
+        for i, pts in wanted.items():
+            try:
+                step[i] = searches[i].send([next(vals) for _ in pts])
+            except StopIteration as done:
+                results[i] = done.value
+        wanted = step
+    return results
 
 
 def max_on_circle(
@@ -187,9 +222,10 @@ def max_on_circle(
 
     Coarse angular probing (restricted to the domain's arcs when given)
     followed by golden-section polish around the best three local maxima,
-    to angular resolution 1e-6.  A domain restriction at a critical radius
-    of its bounding paths raises DegenerateRadiusError, as angular_measure
-    does.
+    to angular resolution 1e-6.  Constructed, polynomial and series specs
+    evaluate all probes of a step in one array call; Classic point by
+    point.  A domain restriction at a critical radius of its bounding
+    paths raises DegenerateRadiusError, as angular_measure does.
     """
     if r <= 0:
         raise ValueError("r must be > 0")
@@ -216,10 +252,10 @@ def max_on_circle(
             angles.extend(a + (k + 0.5) * step for k in range(m))
         wraps = False
 
-    def g(theta):
-        return eval_log(spec, r * cmath.exp(1j * theta)).log_mod
+    def g(thetas):
+        return _log_mods(spec, [r * cmath.exp(1j * th) for th in thetas])
 
-    vals = [g(th) for th in angles]
+    vals = g(angles)
     used = len(vals)
     m = len(angles)
     # local maxima on the probe grid (cyclic only for the full circle)
@@ -242,6 +278,7 @@ def max_on_circle(
     if not picked:
         picked = idx[:1]
     best_th, best_val = angles[idx[0]], vals[idx[0]]
+    brackets = []
     for i in picked:
         lo_i, hi_i = i - 1, i + 1
         if wraps:
@@ -252,7 +289,8 @@ def max_on_circle(
             arc = next(a for a in arcs if a[0] <= angles[i] <= a[1] + 1e-15)
             lo = angles[lo_i] if lo_i >= 0 and angles[lo_i] >= arc[0] else arc[0]
             hi = angles[hi_i] if hi_i < m and angles[hi_i] <= arc[1] else arc[1]
-        th, val, ev = _golden_max(g, lo, hi, _REFINE_TOL)
+        brackets.append((lo, hi))
+    for th, val, ev in _golden_max(g, brackets, _REFINE_TOL):
         used += ev
         if val > best_val:
             best_th, best_val = th, val

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -67,11 +69,14 @@ class Series:
         r = self.tail_bound_radius
         return abs(self.coeffs[-1]) * r ** (len(self.coeffs) - 1)
 
-    def __call__(self, z: complex) -> complex:
-        if abs(z) > self.tail_bound_radius * (1 + 1e-12):
+    def __call__(self, z):
+        """Value at z, a complex number or a numpy array of them (every
+        element must lie within the certified radius)."""
+        r = float(np.max(np.abs(z)))
+        if r > self.tail_bound_radius * (1 + 1e-12):
             raise ValueError(
                 "series evaluated at |z|=%g beyond certified radius %g"
-                % (abs(z), self.tail_bound_radius)
+                % (r, self.tail_bound_radius)
             )
         acc = 0j
         for c in reversed(self.coeffs):

@@ -175,6 +175,18 @@ def test_usage_error_exit_code(tmp_path):
     assert run(tmp_path, "trace", "--radii", "1,2") == 2  # no spec given
 
 
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a bug inside a subcommand is not a usage error
+    import asymlab.cli as cli
+
+    def broken(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    assert run(tmp_path, "check") == 4
+    assert "internal error: TypeError: unsupported operand" in capsys.readouterr().err
+
+
 def test_csv_17_digit_stability(tmp_path):
     run(tmp_path, "growth", "--f", "poly:0,1", "--radii", "2,3,4,5", "--out", "g.csv", "--fit-out", "f.json")
     row = (tmp_path / "g.csv").read_text().strip().splitlines()[1].split(",")

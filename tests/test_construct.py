@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymlab.construct import (
@@ -20,6 +20,7 @@ from asymlab.construct import (
     eval_residual,
     residual_lc,
 )
+from asymlab.logcx import wrap_angle
 from asymlab.specs import Polynomial
 
 # frozen oracles: c_n from Gamma(1 + 1/n), d_n from Gamma(2/n)/n, both
@@ -170,6 +171,20 @@ def test_n1_trivial_construction():
     assert abs(eval_f(z, cf).to_complex() - 5.0) <= 1e-9
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_phi_on_sector_boundaries(n):
+    # z^n on the negative real axis, where its computed argument may round
+    # to -pi or to pi: the sector of z and the branch of ln z^n must agree
+    for k in range(n):
+        for u in (0.2, 0.5, 0.8, 1.0):
+            z = u * 30.0 ** (1.0 / n) * cmath.exp(1j * math.pi * (2 * k + 1) / n)
+            on = eval_phi(z, n)
+            for eps in (1e-9, -1e-9):
+                near = eval_phi(z * cmath.exp(1j * eps), n)
+                assert abs(on.log_mod - near.log_mod) <= 1e-6
+                assert abs(wrap_angle(on.arg - near.arg)) <= 1e-6
+
+
 @given(
     r=st.floats(0.5, 3.0),
     theta=st.floats(-math.pi, math.pi),
@@ -181,3 +196,56 @@ def test_phi_finite_everywhere(r, theta, n):
     z = r * cmath.exp(1j * theta)
     v = eval_phi(z, n, tol=1e-8)
     assert math.isfinite(v.log_mod) or v.is_zero
+
+
+@given(
+    r=st.floats(0.05, 3.0),
+    theta=st.floats(-math.pi, math.pi),
+    n=st.integers(2, 8),
+)
+@settings(max_examples=40, deadline=None)
+def test_phi_conjugate_symmetry(r, theta, n):
+    # phi has real Taylor coefficients 1 / (n Gamma(1 + k/n))
+    z = r * cmath.exp(1j * theta)
+    a = eval_phi(z, n)
+    b = eval_phi(z.conjugate(), n)
+    assert abs(a.log_mod - b.log_mod) <= 1e-12
+    assert abs(wrap_angle(a.arg + b.arg)) <= 1e-12
+
+
+@given(
+    r=st.floats(0.05, 2.5),
+    theta=st.floats(-math.pi, math.pi),
+    n=st.integers(2, 8),
+)
+@settings(max_examples=40, deadline=None)
+def test_phi_rotation_identity(r, theta, n):
+    # sum_j phi(omega^j z) = e^{z^n}; the sum cancels down to a tiny e^{z^n}
+    # where Re z^n << 0, so the error is measured against the largest of
+    # |e^{z^n}| and the |phi(omega^j z)|, in log space.  Rounding the
+    # rotated points moves z^n by about |z^n| machine epsilons.
+    z = r * cmath.exp(1j * theta)
+    w = z**n
+    phis = [eval_phi(cmath.exp(2j * math.pi * j / n) * z, n) for j in range(n)]
+    top = max([w.real] + [p.log_mod for p in phis])
+    total = sum(cmath.exp(complex(p.log_mod - top, p.arg)) for p in phis)
+    assert abs(total - cmath.exp(complex(w.real - top, w.imag))) <= 1e-13 * max(1.0, abs(w))
+
+
+@given(
+    u=st.floats(0.0, 1.0),
+    theta=st.floats(-math.pi, math.pi),
+    n=st.integers(2, 8),
+    a_re=st.floats(-10.0, 10.0),
+    a_im=st.floats(-10.0, 10.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_equal_targets_give_the_target(u, theta, n, a_re, a_im):
+    # with every target equal to a, f = a.  Where |z^n| <= 4: beyond that
+    # the rounding of the targets' discrete Fourier transform (about n
+    # epsilons of |a|) is amplified by Q ~ e^{|z^n|}
+    a = complex(a_re, a_im)
+    assume(abs(a) > 1e-3)
+    z = u * 4.0 ** (1.0 / n) * cmath.exp(1j * theta)
+    f = eval_f(z, ConstructedF(n, (Polynomial([a]),) * n)).to_complex()
+    assert abs(f - a) <= 1e-13 * abs(a)

@@ -86,6 +86,16 @@ def test_degenerate_radius_raises():
         for v in path.vertices[1:]:
             with pytest.raises(DegenerateRadiusError):
                 path.circle_crossing_angles(abs(v))
+    # a tangency raises on both sides, whichever way the discriminant
+    # rounds: the terminal ray touches |z| = 2 at z = 2, the middle segment
+    # touches |z| = 2 at z = 2i
+    for path in (SegmentalPath([0, 2 + 1j], -1j), SegmentalPath([0, 3, 3 + 2j, -3 + 2j], -1)):
+        assert 2.0 in path.critical_radii()
+        for t in (2.0, 2.0 - 1e-13, 2.0 + 1e-13):
+            with pytest.raises(DegenerateRadiusError):
+                path.circle_crossing_angles(t)
+        for t in (2.0 - 1e-9, 2.0 + 1e-9):
+            path.circle_crossing_angles(t)
 
 
 def test_slices_sum_below_full_circle():

@@ -1,8 +1,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from asymlab import growth
 from asymlab.classic import ClassicDCA
 from asymlab.construct import ConstructedF, eval_f
 from asymlab.geometry import DegenerateRadiusError, PathSystem, SegmentalPath
@@ -43,6 +45,26 @@ def test_max_on_circle_constructed_dominant_term():
     gs = max_on_circle(Constructed(cf), 3.0, coarse=64)
     assert 0.8 * 9.0 <= gs.log_max_mod <= 1.2 * 9.0
     assert abs(abs(gs.argmax_theta) - math.pi / 2) < 0.5
+
+
+def test_series_target_scan_matches_per_point(monkeypatch):
+    # a Series target rides the array scan of a constructed spec; scanning
+    # with every probe evaluated on its own through eval_log gives the
+    # same sample
+    spec = Constructed(
+        ConstructedF(3, (Series([1, 0.5, 0.25j], 10.0), Polynomial([0, 1]), Polynomial([2j])))
+    )
+    series = spec.cf.a_list[0]
+    zs = np.array([1.0, 2.5j, -2.5])
+    assert list(series(zs)) == [series(complex(z)) for z in zs]
+    with pytest.raises(ValueError, match="beyond certified radius"):
+        series(np.array([1.0, 11.0j]))  # one point beyond it
+    whole = max_on_circle(spec, 2.5, coarse=64)
+    monkeypatch.setattr(growth, "_log_mods", lambda s, zs: [eval_log(s, z).log_mod for z in zs])
+    single = max_on_circle(spec, 2.5, coarse=64)
+    assert (whole.r, whole.domain_id, whole.samples_used) == (single.r, single.domain_id, single.samples_used)
+    assert whole.log_max_mod == pytest.approx(single.log_max_mod, rel=1e-13)
+    assert whole.argmax_theta == pytest.approx(single.argmax_theta, abs=1e-6)
 
 
 def test_argmax_refinement_stable():
