@@ -16,7 +16,6 @@ from .construct import (
     eval_f,
     eval_phi,
     eval_residual,
-    log_f,
     residual_lc,
 )
 from .geometry import (

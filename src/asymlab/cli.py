@@ -68,8 +68,7 @@ def parse_target(text: str):
     if kind == "series":
         if not body.startswith("@"):
             raise UsageError("series payload must be @file")
-        d = json.loads(Path(body[1:]).read_text())
-        spec = spec_from_json_dict(d)
+        spec = _read_input(body[1:], spec_from_json_dict)
         if not isinstance(spec, Series):
             raise UsageError("%s is not a series funcspec" % body[1:])
         return spec
@@ -99,9 +98,19 @@ def parse_radii(text: str) -> list:
     return [float(p) for p in text.split(",")]
 
 
+def _read_input(path: str, parse):
+    """parse applied to the JSON document in the file at path.  A document
+    with missing keys or wrong types is a usage error, not an internal one."""
+    d = json.loads(Path(path).read_text())
+    try:
+        return parse(d)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise UsageError("malformed input file %s: %s: %s" % (path, type(e).__name__, e))
+
+
 def _load_spec(args):
     if getattr(args, "spec", None):
-        return spec_from_json_dict(json.loads(Path(args.spec).read_text()))
+        return _read_input(args.spec, spec_from_json_dict)
     if getattr(args, "f", None):
         return parse_target(args.f)
     raise UsageError("need --spec FILE or --f MINISPEC")
@@ -109,7 +118,7 @@ def _load_spec(args):
 
 def _load_system(args) -> PathSystem:
     if getattr(args, "system", None):
-        return PathSystem.from_json(Path(args.system).read_text())
+        return _read_input(args.system, PathSystem.from_json_dict)
     if getattr(args, "rays", None):
         return PathSystem.equally_spaced_rays(args.rays)
     raise UsageError("need --system FILE or --rays N")
@@ -138,7 +147,7 @@ def cmd_construct(args) -> int:
             raise UsageError("construction targets must be poly: or series:@")
     if len(targets) != args.n:
         raise UsageError("need exactly n = %d --a targets, got %d" % (args.n, len(targets)))
-    cf = ConstructedF(args.n, tuple(targets), tol=args.tol)
+    cf = ConstructedF(args.n, tuple(targets))
     if args.n == 1:
         print("warning: n = 1 is degenerate (f is asymptotic to a_1 itself)")
     Path(args.out).write_text(
@@ -334,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build a constructed-function spec")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--a", action="append", default=[], help="target (poly:... or series:@file), repeat n times")
-    c.add_argument("--tol", type=float, default=1e-9)
     c.add_argument("--out", default="funcspec.json")
     c.set_defaults(func=cmd_construct)
 

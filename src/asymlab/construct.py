@@ -272,7 +272,6 @@ class ConstructedF:
 
     n: int
     a_list: tuple[TargetFunction, ...]
-    tol: float = 1e-9
     ang_tol: float = field(default=ANG_TOL_DEFAULT)
 
     def __post_init__(self):

@@ -120,7 +120,6 @@ def spec_to_json_dict(spec: EntireSpec) -> dict:
         d.update(
             kind="constructed",
             n=spec.cf.n,
-            tol=spec.cf.tol,
             targets=[_target_dict(t) for t in spec.cf.a_list],
         )
     return d
@@ -148,11 +147,7 @@ def spec_from_json_dict(d: dict) -> EntireSpec:
         )
     if kind == "constructed":
         return Constructed(
-            ConstructedF(
-                d["n"],
-                tuple(_target_from_dict(t) for t in d["targets"]),
-                tol=d.get("tol", 1e-9),
-            )
+            ConstructedF(d["n"], tuple(_target_from_dict(t) for t in d["targets"]))
         )
     raise ValueError("unknown funcspec kind %r" % kind)
 

@@ -60,7 +60,8 @@ def test_construct_writes_spec_and_manifest(tmp_path, capsys):
     assert spec["format"] == "funcspec/1" and spec["kind"] == "constructed"
     man = json.loads((tmp_path / "run_manifest.json").read_text())
     assert man["format"] == "manifest/1" and man["command"] == "construct"
-    assert man["config"]["tol"] == 1e-9  # defaults echoed
+    assert man["config"]["out"] == "funcspec.json"  # defaults echoed
+    assert "tol" not in man["config"] and "tol" not in spec
 
 
 def test_construct_n1_warns(tmp_path, capsys):
@@ -173,6 +174,37 @@ def test_check_unknown_filter(tmp_path):
 def test_usage_error_exit_code(tmp_path):
     assert run(tmp_path, "frobnicate") == 2
     assert run(tmp_path, "trace", "--radii", "1,2") == 2  # no spec given
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": "funcspec/1", "n": 2},  # no kind
+        {"format": "funcspec/1", "kind": "poly", "coeffs": [1, 2]},
+        {"format": "funcspec/1", "kind": "poly", "coeffs": [["1", 0]]},
+        {"format": "funcspec/1", "kind": "constructed", "n": "2",
+         "targets": [{"kind": "poly", "coeffs": [[1, 0]]}] * 2},
+        [1, 2],  # not an object
+    ],
+)
+def test_malformed_funcspec_exit_2(tmp_path, capsys, doc):
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    for argv in (["trace", "--spec", "bad.json"], ["growth", "--f", "series:@bad.json"]):
+        assert run(tmp_path, *argv, "--radii", "1,2") == 2
+        assert "error: malformed input file bad.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": "pathsystem/1"},  # no paths
+        {"format": "pathsystem/1", "paths": [{"vertices": [0, 1], "terminal_direction": 0}]},
+    ],
+)
+def test_malformed_pathsystem_exit_2(tmp_path, capsys, doc):
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert run(tmp_path, "domain", "--system", "bad.json", "--R", "4", "--radii", "2") == 2
+    assert "error: malformed input file bad.json" in capsys.readouterr().err
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
