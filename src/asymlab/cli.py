@@ -20,7 +20,7 @@ import sys as _sys
 import traceback
 from pathlib import Path
 
-from .classic import ClassicDCA, TermCapExceeded
+from .classic import ClassicDCA
 from .construct import ConstructedF, c_constant, d_constant
 from .geometry import (
     DegenerateRadiusError,
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, FileNotFoundError) as e:
         print("error: %s" % e, file=_sys.stderr)
         return 2
-    except (QuadratureNonconvergence, TermCapExceeded, DegenerateRadiusError) as e:
+    except (QuadratureNonconvergence, DegenerateRadiusError) as e:
         print("nonconvergence: %s" % e, file=_sys.stderr)
         return 3
     except Exception as e:

@@ -30,7 +30,7 @@ import cmath
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .logcx import LC_ZERO, CancellationWarning, LogComplex, wrap_angle
 from .quadrature import integrate_segment, truncation_radius
 from .specs import TargetFunction
 
-ANG_TOL_DEFAULT = 1e-9
+ANG_TOL = 1e-9  # angular width of the contour and of the residual's rays
 
 # Regimes of the Q kernel: the asymptotic expansion where |w| >= _ASYMPTOTIC_R
 # (its smallest term there is about e^{-|w|} < 1e-16); else the power series
@@ -67,7 +67,7 @@ class RegionTag(enum.Enum):
     ON_GAMMA = "on_gamma"
 
 
-def classify_region(z: complex, n: int, ang_tol: float = ANG_TOL_DEFAULT) -> RegionTag:
+def classify_region(z: complex, n: int) -> RegionTag:
     """INSIDE / OUTSIDE / ON_GAMMA for the sector |arg z| < pi/n."""
     if z == 0:
         raise ValueError("z = 0 is the contour corner; classification undefined")
@@ -75,7 +75,7 @@ def classify_region(z: complex, n: int, ang_tol: float = ANG_TOL_DEFAULT) -> Reg
         raise ValueError("classification requires n >= 2")
     th = abs(wrap_angle(cmath.phase(complex(z))))
     half = math.pi / n
-    if abs(th - half) <= ang_tol:
+    if abs(th - half) <= ANG_TOL:
         return RegionTag.ON_GAMMA
     if th < half:
         return RegionTag.INSIDE
@@ -272,7 +272,6 @@ class ConstructedF:
 
     n: int
     a_list: tuple[TargetFunction, ...]
-    ang_tol: float = field(default=ANG_TOL_DEFAULT)
 
     def __post_init__(self):
         if self.n < 1:
@@ -329,7 +328,7 @@ def residual_lc(z_on_ray: complex, j0: int, cf: ConstructedF) -> LogComplex:
         return LC_ZERO
     if z == 0:
         raise NotOnRayError("residual undefined at the origin")
-    if abs(wrap_angle(cmath.phase(z) - cf.ray_angle(j0))) > cf.ang_tol:
+    if abs(wrap_angle(cmath.phase(z) - cf.ray_angle(j0))) > ANG_TOL:
         raise NotOnRayError("z is not on ray %d within angular tolerance" % j0)
     with np.errstate(divide="ignore"):
         terms = _log_f_terms(np.array([z]), cf)[1:]

@@ -22,7 +22,6 @@ from .quadrature import integrate_segment
 
 TWO_PI = 2.0 * math.pi
 _DEGEN_EPS = 1e-12
-_ARC_STEP = TWO_PI / 720.0
 # every degeneracy test of circle_crossing_angles fires within
 # _DEGEN_EPS * max(t, 1, element length) of a critical radius (a truncated
 # terminal ray is shorter than 3 max(t, 1)); Carleman quadrature keeps ten
@@ -310,47 +309,21 @@ class CarlemanReport:
 # ---------------------------------------------------------------------------
 # membership
 
-def _domain_polygon(sys: PathSystem, j: int, r_big: float) -> np.ndarray:
-    """Closed polygon approximating domain j clipped at radius r_big:
-    out along path j, counterclockwise far arc, back along path j+1."""
-    g1, g2 = sys.domain_boundary(j)
-    if r_big <= 2.0 * max(g1.max_vertex_radius, g2.max_vertex_radius, 0.25):
-        raise ValueError("closing radius too small for this system")
-    pts = list(g1.vertices)
-    e1 = g1.exit_point(r_big)
-    e2 = g2.exit_point(r_big)
-    pts.append(e1)
-    th1 = cmath.phase(e1)
-    gap = (cmath.phase(e2) - th1) % TWO_PI
-    if gap < 1e-12:
-        gap = TWO_PI
-    m = max(8, int(math.ceil(gap / _ARC_STEP)))
-    for k in range(1, m):
-        pts.append(r_big * cmath.exp(1j * (th1 + gap * k / m)))
-    pts.append(e2)
-    pts.extend(reversed(g2.vertices))
-    arr = np.array(pts, dtype=complex)
-    return np.column_stack([arr.real, arr.imag])
-
-
-def _winding_number(poly: np.ndarray, p: complex) -> int:
-    x, y = p.real, p.imag
-    x0, y0 = poly[:, 0], poly[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    # standard crossing-with-orientation count
-    up = (y0 <= y) & (y1 > y)
-    dn = (y0 > y) & (y1 <= y)
-    cross = (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)
-    return int(np.sum(up & (cross > 0)) - np.sum(dn & (cross < 0)))
-
-
 def point_in_domain(sys: PathSystem, j: int, p: complex) -> bool:
-    """Membership in domain j via winding number of the closed polygon at
-    radius 4 * max(|p|, vertex reach)."""
+    """Membership in domain j: the winding number about p of the loop out
+    along path j to the circle of radius 4 * max(|p|, vertex reach, 1),
+    counterclockwise along that circle, and back along path j+1.  p lies
+    inside the circle, so the arc turns by exactly the angle between its
+    end points as seen from p (a full turn when they coincide)."""
     p = complex(p)
+    g1, g2 = sys.domain_boundary(j)
     r_big = 4.0 * max(abs(p), sys.max_vertex_radius, 1.0)
-    poly = _domain_polygon(sys, j, r_big)
-    return _winding_number(poly, p) != 0
+    e1, e2 = g1.exit_point(r_big), g2.exit_point(r_big)
+    turn = (cmath.phase(e2 - p) - cmath.phase(e1 - p)) % TWO_PI if e1 != e2 else TWO_PI
+    for pts in (g1.vertices + (e1,), (e2,) + g2.vertices[::-1]):
+        v = np.array(pts) - p
+        turn += float(np.angle(v[1:] * v[:-1].conj()).sum())
+    return round(turn / TWO_PI) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .logcx import LogComplex, wrap_angle
 from .specs import Polynomial, Series
 
 _REFINE_TOL = 1e-6  # angular resolution of the golden-section polish
+CLASSIC_TOL = 1e-9  # absolute accuracy of Classic evaluations
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -47,10 +48,10 @@ class Constructed:
 
 @dataclass(frozen=True)
 class Classic:
-    """EntireSpec variant wrapping the order-n/2 integral example."""
+    """EntireSpec variant wrapping the order-n/2 integral example, evaluated
+    to absolute accuracy CLASSIC_TOL."""
 
     cfg: ClassicDCA
-    tol: float = 1e-9
 
     @property
     def declared_order(self) -> float:
@@ -65,7 +66,7 @@ def eval_log(spec: EntireSpec, z: complex) -> LogComplex:
     if isinstance(spec, Constructed):
         return eval_f(z, spec.cf)
     if isinstance(spec, Classic):
-        return LogComplex.from_complex(eval_dca(z, spec.cfg, spec.tol))
+        return LogComplex.from_complex(eval_dca(z, spec.cfg, CLASSIC_TOL))
     return LogComplex.from_complex(spec(z))
 
 
@@ -109,13 +110,7 @@ def spec_to_json_dict(spec: EntireSpec) -> dict:
     if isinstance(spec, (Polynomial, Series)):
         d.update(_target_dict(spec))
     elif isinstance(spec, Classic):
-        d.update(
-            kind="classic",
-            n=spec.cfg.n,
-            series_cutoff_radius=spec.cfg.series_cutoff_radius,
-            term_cap=spec.cfg.term_cap,
-            tol=spec.tol,
-        )
+        d.update(kind="classic", n=spec.cfg.n)
     else:
         d.update(
             kind="constructed",
@@ -141,10 +136,7 @@ def spec_from_json_dict(d: dict) -> EntireSpec:
     if kind in ("poly", "series"):
         return _target_from_dict(d)
     if kind == "classic":
-        return Classic(
-            ClassicDCA(d["n"], d["series_cutoff_radius"], d["term_cap"]),
-            d.get("tol", 1e-9),
-        )
+        return Classic(ClassicDCA(d["n"]))
     if kind == "constructed":
         return Constructed(
             ConstructedF(d["n"], tuple(_target_from_dict(t) for t in d["targets"]))

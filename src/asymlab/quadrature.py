@@ -5,7 +5,7 @@ error estimate at no extra integrand cost.  Integrands must accept a numpy
 array of complex nodes (scalar returns are broadcast, so constants work).
 
 Infinite rays carrying an (t+1)e^{-t^n} envelope are truncated at a radius
-certified by an analytic tail bound; the bound is folded into err_est.
+where an analytic bound puts the tail below a tenth of tol.
 """
 
 from __future__ import annotations
@@ -96,19 +96,13 @@ def _panel(f: Callable, a: complex, b: complex) -> tuple[complex, float]:
     return complex(k), abs(complex(k - g))
 
 
-def integrate_segment(
-    integrand: Callable,
-    a: complex,
-    b: complex,
-    tol: float,
-    max_depth: int = MAX_DEPTH,
-) -> QuadResult:
+def integrate_segment(integrand: Callable, a: complex, b: complex, tol: float) -> QuadResult:
     """Adaptive integral of `integrand` along the straight segment [a, b].
 
     Panels are bisected until local error estimates, prorated by panel
     length, sum below tol (with a machine-relative floor so huge smooth
     integrands are not subdivided forever).  Raises
-    QuadratureNonconvergence past max_depth bisections.
+    QuadratureNonconvergence past MAX_DEPTH bisections.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -130,10 +124,10 @@ def integrate_segment(
             value += pk
             err_acc += perr
             continue
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise QuadratureNonconvergence(
                 "segment quadrature: depth %d exceeded (err=%.3e, tol=%.3e)"
-                % (max_depth, perr, local_tol)
+                % (MAX_DEPTH, perr, local_tol)
             )
         pm = (pa + pb) / 2.0
         k1, e1 = _panel(integrand, pa, pm)
@@ -181,29 +175,3 @@ def truncation_radius(n: int, tol: float) -> float:
             lo = mid
     return hi
 
-
-def integrate_decaying_ray(
-    integrand: Callable,
-    origin: complex,
-    direction: complex,
-    n: int,
-    tol: float,
-    envelope_scale: float = 1.0,
-) -> QuadResult:
-    """Integral of `integrand` dw along origin + t*direction, t in [0, inf).
-
-    The caller asserts |integrand| <= envelope_scale * (t+1) e^{-t^n}; the
-    ray is truncated where that envelope's tail drops below tol and the
-    analytic tail bound is added to err_est.
-    """
-    direction = complex(direction) / abs(complex(direction))
-    scale = max(envelope_scale, 1.0)
-    T = truncation_radius(n, min(tol / scale, 0.5))
-    seg = integrate_segment(
-        lambda t: integrand(origin + t * direction) * direction,
-        0.0,
-        T,
-        tol,
-    )
-    tail = envelope_scale * envelope_tail_bound(n, T)
-    return QuadResult(seg.value, seg.err_est + tail, seg.evaluations)

@@ -106,7 +106,6 @@ def estimate_harmonic_measure(
     buf = np.empty((n, _BLOCK))
     for i, g in enumerate(gens):
         buf[i] = g.uniform(0.0, 2.0 * math.pi, _BLOCK)
-    buf_round = np.zeros(n, dtype=np.int64)  # first round held in buf[:, 0]
 
     pos = np.full(n, z1, dtype=complex)
     alive = np.arange(n)
@@ -124,13 +123,11 @@ def estimate_harmonic_measure(
                 break
             p = pos[alive]
             rad = rad[~absorbed]
-        col = step - buf_round[alive]
-        refill = col >= _BLOCK
-        if refill.any():
-            for i in alive[refill]:
+        # every live walk has drawn once per round, so all sit at one column
+        col = step % _BLOCK
+        if step and col == 0:
+            for i in alive:
                 buf[i] = gens[i].uniform(0.0, 2.0 * math.pi, _BLOCK)
-                buf_round[i] += _BLOCK
-            col = step - buf_round[alive]
         theta = buf[alive, col]
         pos[alive] = p + rad * np.exp(1j * theta)
     truncated = int(alive.size)

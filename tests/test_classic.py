@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlab.classic import ClassicDCA, TermCapExceeded, dca_asymptotic_value, eval_dca
+from asymlab.classic import ClassicDCA, dca_asymptotic_value, eval_dca
 
 # frozen 25-digit oracle: integral of sin(t)/t over [0, 1]
 SI_1 = 0.9460830703671830149414
@@ -30,6 +31,17 @@ def test_asymptotic_values_n2():
 def test_asymptotic_value_n3_oracle():
     # frozen 30-digit oracle for (2/3) * integral of u^{-4/3} sin u
     assert dca_asymptotic_value(0, 3) == pytest.approx(1.354117939426400417, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_asymptotic_value_mpmath_oracle(n):
+    # independent Mellin form (2/n) Gamma(s) sin(pi s / 2), s = 2/n - 1,
+    # continued to pi/2 at n = 2 (s = 0) and to 2 at n = 1
+    with mp.workdps(40):
+        s = mp.mpf(2) / n - 1
+        want = mp.pi / 2 if n == 2 else 2 / mp.mpf(n) * mp.gamma(s) * mp.sin(mp.pi * s / 2)
+        want = float(want)
+    assert dca_asymptotic_value(0, n) == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -85,13 +97,6 @@ def test_series_beyond_cutoff_continues_by_quadrature():
     assert abs(outside - inside) < 0.1  # continuity across the switch
 
 
-def test_term_cap_exceeded():
-    # huge cutoff with a tiny budget forces the series to give up
-    cfg = ClassicDCA(2, series_cutoff_radius=200.0, term_cap=20)
-    with pytest.raises(TermCapExceeded):
-        eval_dca(150.0, cfg)
-
-
 def test_default_cutoff_scales_with_n():
     assert ClassicDCA(2).series_cutoff_radius == pytest.approx(12.0)
     assert ClassicDCA(3).series_cutoff_radius < 6.0
@@ -104,3 +109,7 @@ def test_validation():
         dca_asymptotic_value(2, 2)
     with pytest.raises(ValueError):
         eval_dca(1.0, ClassicDCA(2), tol=-1.0)
+    with pytest.raises(ValueError):
+        eval_dca(1.0, ClassicDCA(2), tol=math.nan)
+    # a tol below every representable term runs the series to its end
+    assert eval_dca(1.0, ClassicDCA(2), tol=5e-324) == pytest.approx(SI_1, abs=1e-12)

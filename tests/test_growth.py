@@ -192,6 +192,9 @@ def test_spec_json_roundtrip():
     # constructed funcspecs written before the closed form carry an unused tol
     old = dict(spec_to_json_dict(Constructed(cf)), tol=1e-8)
     assert spec_from_json_dict(old) == Constructed(cf)
+    # classic funcspecs written before the settings were fixed carry three more keys
+    old = dict(spec_to_json_dict(Classic(ClassicDCA(3))), series_cutoff_radius=5.2, term_cap=300, tol=1e-9)
+    assert spec_from_json_dict(old) == Classic(ClassicDCA(3))
 
 
 def test_verify_theorem1_constructed():

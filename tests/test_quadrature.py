@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from asymlab.quadrature import (
     QuadratureNonconvergence,
     envelope_tail_bound,
-    integrate_decaying_ray,
     integrate_segment,
     truncation_radius,
 )
@@ -95,23 +94,6 @@ def test_truncation_radius_monotone():
         rs = [truncation_radius(n, tol) for tol in (1e-3, 1e-6, 1e-9, 1e-12)]
         assert rs == sorted(rs)
         assert envelope_tail_bound(n, rs[-1]) < 1e-13
-
-
-def test_decaying_ray_gaussian():
-    # integral of e^{-t^2} over the positive real axis
-    res = integrate_decaying_ray(lambda w: np.exp(-(w**2)), 0.0, 1.0, 2, 1e-10)
-    assert abs(res.value - math.sqrt(math.pi) / 2.0) <= 1e-9
-    assert res.err_est < 1e-9
-
-
-def test_decaying_ray_rotated():
-    # same integrand along e^{i pi/8}: closed form via Gamma rotation
-    import cmath
-
-    d = cmath.exp(1j * math.pi / 8)
-    res = integrate_decaying_ray(lambda w: np.exp(-((w / d) ** 2)), 0.0, d, 2, 1e-10)
-    want = d * math.sqrt(math.pi) / 2.0
-    assert abs(res.value - want) <= 1e-9
 
 
 def test_degenerate_segment():
