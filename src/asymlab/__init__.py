@@ -4,7 +4,7 @@ the classical order-n/2 counterexample, angular-measure/Carleman bounds on
 path-system domains, walk-on-spheres harmonic measure, and order fitting.
 """
 
-from .classic import ClassicDCA, dca_asymptotic_value, eval_dca
+from .classic import ClassicDCA, dca_asymptotic_value, eval_dca, log_dca
 from .construct import (
     ConstructedF,
     TooCloseToContour,

@@ -7,32 +7,47 @@ function of s, so g(w) = sum_k (-1)^k w^{nk} / (2k+1)! is entire and f is
 path independent.  f(r e^{2 pi i nu / n}) tends to e^{2 pi i nu / n} A_n
 along each of the n symmetry rays, where A_n = (2/n) times the Mellin
 transform of sin u at 2/n - 1, a Gamma-function closed form.
+
+Evaluation uses the generalised sine integral (DLMF 8.21).  With
+omega = e^{2 pi i / n}, f(omega^k z) = omega^k f(z), so z is rotated into
+the sector |arg z| <= pi/n; there, with S = z^{n/2} (principal branch) and
+s = 2/n - 1,
+
+    f(z) = A_n + (1/n) [e^{i pi / n} Gamma(s, -iS) + e^{-i pi / n} Gamma(s, iS)],
+
+assembled in log space on numpy arrays by log_dca, so |f| far past e^709
+never overflows.  For |S| < 2, where A_n and the Gamma terms cancel, the
+integrated power series is summed instead.  Quadrature of the integrand
+remains only in eval_dca(..., path=...), an independent check.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gammainc import log_gamma_upper, log_sum
 from .quadrature import integrate_segment
 
-# At the cutoff radius the series envelope r^{nk+1}/(2k+1)! underflows to 0
-# by k = 162, so this many terms exhaust the series for every tol.
-_SERIES_TERMS = 200
+_SERIES_S = 2.0  # |S| below which the power series is summed
+# with |z^n| = |S|^2 < 4 the series terms z^{nk+1} / (2k+1)! fall below
+# 1e-18 |z| by k = 12
+_SERIES_TERMS = 14
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class ClassicDCA:
     """Configuration for the distinct-asymptotic-values example of order n/2.
 
-    The integrated power series is used for |z| <= series_cutoff_radius =
-    144^{1/n} (12.0 for n = 2); beyond that, evaluation continues by segment
-    quadrature of the entire integrand from an anchor on the cutoff circle.
-    The alternating series has intermediate terms of size ~e^{r^{n/2}}, so
-    keeping r^{n/2} <= 12 caps the cancellation loss near five digits.
+    series_cutoff_radius = 144^{1/n} (12.0 for n = 2) is the radius up to
+    which the alternating power series alone, whose intermediate terms
+    reach ~e^{r^{n/2}}, loses at most about five digits.  Evaluation no
+    longer depends on it; benchmark/tracer.py reads it to count far points.
     """
 
     n: int
@@ -63,36 +78,62 @@ def integrand(w, n: int):
     return out
 
 
-def _series_f(z: complex, n: int, tol: float) -> complex:
-    """Term-wise integrated series sum_k (-1)^k z^{nk+1}/((nk+1)(2k+1)!)."""
-    total = 0j
-    # coefficient magnitude times |z|^{nk+1} bounds the tail by the first
-    # omitted term once terms decrease (alternating, factorially damped)
-    zn = complex(z) ** n
-    term = complex(z)  # k = 0 value of z^{nk+1}/(2k+1)!
-    r = abs(z)
-    rn = r**n
-    env = r
-    prev_env = math.inf
-    for k in range(_SERIES_TERMS):
-        total += term / (n * k + 1)
-        if env < tol * 0.1 and env < prev_env:
-            break
-        prev_env = env
-        ratio = -zn / ((2 * k + 2) * (2 * k + 3))
-        term = term * ratio
-        env = env * rn / ((2 * k + 2) * (2 * k + 3))
-    return total
+def _log_f_series(z, n: int):
+    """ln of the integrated series sum_k (-1)^k z^{nk+1} / ((nk+1) (2k+1)!)
+    at every point of the array z."""
+    k = np.arange(_SERIES_TERMS)[:, None]
+    ratio = -(z**n) / ((2 * k + 2) * (2 * k + 3))
+    terms = z * np.vstack([np.ones_like(z), np.cumprod(ratio[:-1], axis=0)])
+    with np.errstate(divide="ignore"):
+        return np.log((terms / (n * k + 1)).sum(axis=0))
+
+
+def log_dca(z, n: int):
+    """ln f at every point of the array z (real part ln|f|, imaginary part
+    arg f), through the generalised sine integral."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    z = np.asarray(z, dtype=complex).ravel()
+    out = np.empty(z.size, complex)
+    r = np.abs(z)
+    mod_s = r ** (0.5 * n)  # |S|
+    small = mod_s < _SERIES_S
+    out[small] = _log_f_series(z[small], n)
+    z, r, mod_s = z[~small], r[~small], mod_s[~small]
+    if z.size:
+        th = np.angle(z)
+        k = np.round(th * n / (2.0 * math.pi))
+        half = 0.5 * n * (th - 2.0 * math.pi * k / n)  # arg S, in [-pi/2, pi/2]
+        # S from its modulus and argument: through exp(ln S) ln|f| would
+        # lose several ulp at |S| in the hundreds
+        S = mod_s * np.exp(1j * half)
+        w = np.concatenate([-1j * S, 1j * S])
+        lr = 0.5 * n * np.log(r)
+        lw = np.concatenate([lr + 1j * (half - 0.5 * math.pi), lr + 1j * (half + 0.5 * math.pi)])
+        if n == 1:
+            lg = np.zeros(w.size, complex)  # Gamma(1, w) = e^{-w}
+        else:
+            lg = log_gamma_upper(np.array([[2.0 / n - 1.0]]), w, lw)[0]
+        # the terms A_n, e^{i pi/n} Gamma(s, -iS) / n and e^{-i pi/n} Gamma(s, iS) / n
+        c = complex(-math.log(n), math.pi / n)
+        m = z.size
+        terms = np.vstack([
+            np.full(m, math.log(dca_asymptotic_value(0, n).real), complex),
+            (lg[:m] + c) - w[:m],
+            (lg[m:] + c.conjugate()) - w[m:],
+        ])
+        out[~small] = log_sum(terms) + 2j * math.pi * k / n
+    return out
 
 
 def eval_dca(z: complex, cfg: ClassicDCA, tol: float = 1e-10, path=None) -> complex:
-    """f(z) to absolute accuracy ~tol.
+    """f(z) as a complex number: the one-point case of log_dca, which
+    raises OverflowError past |f| = e^709 (log_dca itself does not).
 
-    Inside the series cutoff the integrated power series is used.  Beyond
-    it, the series value at the cutoff anchor on the ray to z is extended
-    by quadrature of the entire integrand along [anchor, z].  An explicit
-    `path` (waypoint list from 0 to z) forces pure quadrature along that
-    polyline, which must agree by path independence.
+    tol is used only with an explicit `path` (waypoint list from 0 to z):
+    then f is the Gauss-Kronrod quadrature of the entire integrand along
+    that polyline, to absolute accuracy ~tol, which must agree with the
+    closed form by path independence.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
@@ -107,14 +148,10 @@ def eval_dca(z: complex, cfg: ClassicDCA, tol: float = 1e-10, path=None) -> comp
                 lambda w: integrand(w, cfg.n), a, b, tol / max(1, len(pts) - 1)
             ).value
         return total
-    if z == 0:
-        return 0j
-    if abs(z) <= cfg.series_cutoff_radius:
-        return _series_f(z, cfg.n, tol)
-    anchor = cfg.series_cutoff_radius * z / abs(z)
-    head = _series_f(anchor, cfg.n, tol / 2)
-    tail = integrate_segment(lambda w: integrand(w, cfg.n), anchor, z, tol / 2).value
-    return head + tail
+    v = log_dca([z], cfg.n)[0]
+    if v.real > _LOG_MAX:
+        raise OverflowError("|f(z)| = e^%.6g overflows a double; use log_dca" % v.real)
+    return complex(np.exp(v))
 
 
 def dca_asymptotic_value(nu: int, n: int) -> complex:

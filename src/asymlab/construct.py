@@ -19,9 +19,10 @@ targets.  Then
     f(z)   = a_k(z) - sum_{m=1}^{n-1} A_m(z) omega^{km} Q(m/n, w)
 
 and on ray j0 the residual f - a_{j0} is the last sum alone, so nothing
-near-equal is subtracted.  Q is evaluated in log space on numpy arrays, so
-|w| in the thousands never overflows.  The contour quadrature remains only
-in contour_identity, an independent check of the Gamma constants.
+near-equal is subtracted.  Q is evaluated in log space on numpy arrays by
+the incomplete-gamma kernel of gammainc, so |w| in the thousands never
+overflows.  The contour quadrature remains only in contour_identity, an
+independent check of the Gamma constants.
 """
 
 from __future__ import annotations
@@ -29,28 +30,16 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .logcx import LC_ZERO, CancellationWarning, LogComplex, wrap_angle
+from .gammainc import log_gamma_upper, log_sum
+from .logcx import LC_ZERO, LogComplex, wrap_angle
 from .quadrature import integrate_segment, truncation_radius
 from .specs import TargetFunction
 
 ANG_TOL = 1e-9  # angular width of the contour and of the residual's rays
-
-# Regimes of the Q kernel: the asymptotic expansion where |w| >= _ASYMPTOTIC_R
-# (its smallest term there is about e^{-|w|} < 1e-16); else the power series
-# where (|w| + Re w) / 2 < _SERIES_X, which covers small |w| and a band
-# around the negative real axis where the continued fraction converges
-# slowly (series terms cancel by at most e^{|w| + Re w}); else the continued
-# fraction, which needs at most about 45 steps there.
-_ASYMPTOTIC_R = 40.0
-_SERIES_X = 2.0
-_EPS = 2.0**-52
-_MAX_STEPS = 500  # continued-fraction steps; about 45 suffice
-_CANCEL_REL = 1e-10  # as lc_add: warn when a sum keeps less than this share
 
 
 class TooCloseToContour(RuntimeError):
@@ -115,73 +104,17 @@ def contour_identity(n: int, tol: float = 1e-12) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the incomplete-gamma kernel
-
-def _log_series(s, w, lw, lgs):
-    """ln(e^w Q) from gamma(s, w) = w^s sum_k (-w)^k / (k! (s + k)), summed
-    as one matrix product (einsum rather than matmul keeps BLAS out of the
-    process).  With |w| <= 40, |w|^k / k! < 1e-21 at k = e max|w| + 40."""
-    k = np.arange(1, int(math.e * np.abs(w).max()) + 41)
-    powers = np.cumprod(-w / k[:, None], axis=0)  # (-w)^k / k!
-    total = 1.0 / s + np.einsum("mk,kn->mn", 1.0 / (s + k), powers)
-    lower = np.exp(s * lw + np.log(total) - lgs)
-    return w + np.log(1.0 - lower)
-
-
-def _log_continued_fraction(s, w, lw, lgs):
-    """ln(e^w Q) from Legendre's continued fraction
-    Gamma(s, w) = e^{-w} w^s / (w + 1 - s - 1 (1 - s) / (w + 3 - s - ...)),
-    by the modified Lentz method, until every element has converged."""
-    b = w + 1.0 - s
-    c = np.full(b.shape, 1e300, complex)
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_STEPS):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        d[d == 0] = 1e-300
-        c = b + an / c
-        c[c == 0] = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) <= 4.0 * _EPS):
-            return s * lw + np.log(h) - lgs
-    raise ArithmeticError("incomplete gamma continued fraction did not converge")
-
-
-def _log_asymptotic(s, w, lw, lgs):
-    """ln(e^w Q) from Gamma(s, w) ~ w^{s-1} e^{-w} sum_k (s-1)...(s-k) / w^k
-    to k = 36: with |w| >= 40 the terms, at most k! / |w|^k, still shrink
-    there and have fallen below 8e-17."""
-    k = np.arange(1, 37)[:, None]
-    terms = np.cumprod((s[:, :, None] - k) / w, axis=1)
-    return (s - 1.0) * lw + np.log(1.0 + terms.sum(axis=1)) - lgs
-
+# the regularised incomplete gamma function
 
 def _log_q(n: int, w, lw):
-    """ln(e^w Q(m/n, w)) for m = 1..n-1 (rows) and every w (columns).
-
-    lw is ln w on the branch the caller needs; it may pass the negative
-    real axis slightly, and all three regimes continue analytically in it
-    there (the continued fraction is never used near that axis).  The
-    factor e^w is folded in so that inside the sector, where Q ~ e^{-w},
-    nothing of size |w| is added and subtracted again.
-    """
+    """ln(e^w Q(m/n, w)) for m = 1..n-1 (rows) and every w (columns), with
+    lw = ln w on the branch the caller needs (see gammainc)."""
     s = (np.arange(1, n) / n)[:, None]
-    lgs = np.array([[math.lgamma(m / n)] for m in range(1, n)])
     out = np.zeros((n - 1, w.size), complex)  # Q(s, 0) = 1
-    aw = np.abs(w)
-    far = aw >= _ASYMPTOTIC_R
-    series = ~far & (aw + w.real < 2.0 * _SERIES_X) & (w != 0)
-    for mask, kernel in (
-        (series, _log_series),
-        (~far & ~series & (w != 0), _log_continued_fraction),
-        (far, _log_asymptotic),
-    ):
-        if mask.any():
-            out[:, mask] = kernel(s, w[mask], lw[mask], lgs)
+    nz = w != 0
+    if nz.any():
+        lgs = np.array([[math.lgamma(m / n)] for m in range(1, n)])
+        out[:, nz] = log_gamma_upper(s, w[nz], lw[nz]) - lgs
     return out
 
 
@@ -202,37 +135,13 @@ def _q_terms(z, n: int):
     return k, w, _log_q(n, w, lw) + 1j * (math.pi + 2.0 * math.pi * ((k * m) % n) / n)
 
 
-def _log_sum(terms):
-    """ln of the column sums of exp(terms), without overflow.  Warns with
-    CancellationWarning when a sum keeps less than _CANCEL_REL of its
-    largest term."""
-    top = terms.real.max(axis=0)
-    finite = np.isfinite(top)
-    shift = np.where(finite, top, 0.0)
-    total = np.exp(terms - shift).sum(axis=0)
-    if np.any(finite & (np.abs(total) < _CANCEL_REL)):
-        warnings.warn(
-            "catastrophic cancellation in a sum of %d terms" % terms.shape[0],
-            CancellationWarning,
-            stacklevel=3,
-        )
-    with np.errstate(divide="ignore"):
-        return np.where(finite, np.log(total) + shift, -np.inf)
-
-
 def _log_phi(z: complex, n: int, with_exp: bool):
     """ln phi(z); without e^{z^n}, the Q terms alone: ln E(z)."""
     k, w, q = _q_terms(np.array([complex(z)]), n)
     rows = q - math.log(n)
     if with_exp:
         rows = np.vstack([rows, np.where(k == 0, w, -np.inf)])
-    return _log_sum(rows)[0]
-
-
-def _to_lc(v) -> LogComplex:
-    if v.real == -math.inf:
-        return LC_ZERO
-    return LogComplex(float(v.real), wrap_angle(float(v.imag)))
+    return log_sum(rows)[0]
 
 
 def eval_E(z: complex, n: int, tol: float = 1e-9) -> complex:
@@ -258,7 +167,7 @@ def eval_phi(z: complex, n: int, tol: float = 1e-9) -> LogComplex:
     form is accurate to about 1e-13 relative."""
     if n < 2:
         raise ValueError("eval_phi requires n >= 2; n = 1 is the trivial construction")
-    return _to_lc(_log_phi(z, n, with_exp=True))
+    return LogComplex.from_log(_log_phi(z, n, with_exp=True))
 
 
 @dataclass(frozen=True)
@@ -309,13 +218,13 @@ def log_f(z, cf: ConstructedF):
     sum propagate."""
     z = np.asarray(z, dtype=complex).ravel()
     with np.errstate(divide="ignore"):
-        return _log_sum(_log_f_terms(z, cf))
+        return log_sum(_log_f_terms(z, cf))
 
 
 def eval_f(z: complex, cf: ConstructedF) -> LogComplex:
     """f(z) = sum_j phi(e^{-2 pi i j/n} z) a_j(z) / e^{z^n} as a LogComplex;
     the one-point case of log_f."""
-    return _to_lc(log_f([complex(z)], cf)[0])
+    return LogComplex.from_log(log_f([complex(z)], cf)[0])
 
 
 def residual_lc(z_on_ray: complex, j0: int, cf: ConstructedF) -> LogComplex:
@@ -332,7 +241,7 @@ def residual_lc(z_on_ray: complex, j0: int, cf: ConstructedF) -> LogComplex:
         raise NotOnRayError("z is not on ray %d within angular tolerance" % j0)
     with np.errstate(divide="ignore"):
         terms = _log_f_terms(np.array([z]), cf)[1:]
-        return _to_lc(_log_sum(terms)[0])
+        return LogComplex.from_log(log_sum(terms)[0])
 
 
 def eval_residual(z_on_ray: complex, j0: int, cf: ConstructedF) -> complex:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classic import ClassicDCA, eval_dca
+from .classic import ClassicDCA, log_dca
 from .construct import ConstructedF, eval_f, log_f, residual_lc
 from .geometry import (
     CarlemanReport,
@@ -26,9 +26,8 @@ from .geometry import (
 from .logcx import LogComplex, wrap_angle
 from .specs import Polynomial, Series
 
-_REFINE_TOL = 1e-6  # angular resolution of the golden-section polish
-CLASSIC_TOL = 1e-9  # absolute accuracy of Classic evaluations
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_TOL = 1e-6  # angular resolution of the grid polish
+_GRID = 32  # polish probes per bracket and step
 
 
 class InsufficientDynamicRangeError(ValueError):
@@ -48,8 +47,7 @@ class Constructed:
 
 @dataclass(frozen=True)
 class Classic:
-    """EntireSpec variant wrapping the order-n/2 integral example, evaluated
-    to absolute accuracy CLASSIC_TOL."""
+    """EntireSpec variant wrapping the order-n/2 integral example."""
 
     cfg: ClassicDCA
 
@@ -66,21 +64,18 @@ def eval_log(spec: EntireSpec, z: complex) -> LogComplex:
     if isinstance(spec, Constructed):
         return eval_f(z, spec.cf)
     if isinstance(spec, Classic):
-        return LogComplex.from_complex(eval_dca(z, spec.cfg, CLASSIC_TOL))
+        return LogComplex.from_log(log_dca([z], spec.cfg.n)[0])
     return LogComplex.from_complex(spec(z))
 
 
-def _log_mods(spec: EntireSpec, zs: list) -> list:
-    """log|f| at each point of zs: one array evaluation for constructed,
-    polynomial and series specs, point by point for Classic."""
-    if isinstance(spec, Classic):
-        return [eval_log(spec, z).log_mod for z in zs]
+def _log_mods(spec: EntireSpec, zs):
+    """log|f| at each point of the array zs, in one array evaluation."""
     if isinstance(spec, Constructed):
-        vals = log_f(zs, spec.cf).real
-    else:
-        with np.errstate(divide="ignore"):
-            vals = np.log(np.abs(spec(np.array(zs, dtype=complex))))
-    return [float(v) for v in vals]
+        return log_f(zs, spec.cf).real
+    if isinstance(spec, Classic):
+        return log_dca(zs, spec.cfg.n).real
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(spec(np.asarray(zs, dtype=complex))))
 
 
 def declared_order(spec: EntireSpec) -> float:
@@ -156,46 +151,30 @@ class GrowthSample:
     samples_used: int
 
 
-def _golden_search(lo, hi, tol):
-    """Golden-section search for a maximum on [lo, hi] to width tol, as a
-    generator: it yields the list of points whose values it needs next,
-    is sent their values, and returns (theta, value, evaluations)."""
-    a, b = lo, hi
-    c = b - _GOLD * (b - a)
-    d = a + _GOLD * (b - a)
-    gc, gd = yield [c, d]
-    evals = 2
-    while b - a > tol:
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - _GOLD * (b - a)
-            (gc,) = yield [c]
-        else:
-            a, c, gc = c, d, gd
-            d = a + _GOLD * (b - a)
-            (gd,) = yield [d]
-        evals += 1
-    th = c if gc >= gd else d
-    return th, max(gc, gd), evals
-
-
-def _golden_max(g, brackets, tol):
-    """_golden_search on every (lo, hi) bracket, advanced in lockstep: each
-    step calls g (a list of points to a list of values) once, on the points
-    that all unfinished searches need."""
-    searches = [_golden_search(lo, hi, tol) for lo, hi in brackets]
-    results = [None] * len(searches)
-    wanted = {i: next(s) for i, s in enumerate(searches)}
-    while wanted:
-        vals = iter(g([x for pts in wanted.values() for x in pts]))
-        step = {}
-        for i, pts in wanted.items():
-            try:
-                step[i] = searches[i].send([next(vals) for _ in pts])
-            except StopIteration as done:
-                results[i] = done.value
-        wanted = step
-    return results
+def _refine(g, brackets, tol):
+    """Grid refinement of every (lo, hi) bracket to width tol.  Each step
+    calls g (an array of angles to an array of values) once, on _GRID
+    equally spaced interior points of every bracket still wider than tol,
+    and narrows each bracket to the neighbours of its best point.  Returns
+    the best angle and value found (value -inf when no bracket was wider
+    than tol) and the number of evaluations."""
+    lo, hi = np.array(brackets, dtype=float).T
+    best_th, best_val, used = 0.0, -math.inf, 0
+    steps = np.arange(1, _GRID + 1)
+    while True:
+        wide = np.flatnonzero(hi - lo > tol)
+        if not wide.size:
+            return best_th, best_val, used
+        h = (hi[wide] - lo[wide]) / (_GRID + 1)
+        th = lo[wide, None] + h[:, None] * steps
+        vals = g(th.ravel()).reshape(th.shape)
+        used += th.size
+        i = (np.arange(wide.size), vals.argmax(axis=1))
+        top_th, top = th[i], vals[i]
+        j = int(top.argmax())
+        if top[j] > best_val:
+            best_th, best_val = float(top_th[j]), float(top[j])
+        lo[wide], hi[wide] = top_th - h, top_th + h
 
 
 def max_on_circle(
@@ -208,11 +187,11 @@ def max_on_circle(
     path system.
 
     Coarse angular probing (restricted to the domain's arcs when given)
-    followed by golden-section polish around the best three local maxima,
-    to angular resolution 1e-6.  Constructed, polynomial and series specs
-    evaluate all probes of a step in one array call; Classic point by
-    point.  A domain restriction at a critical radius of its bounding
-    paths raises DegenerateRadiusError, as angular_measure does.
+    followed by a grid polish of the brackets around the best three local
+    maxima, to angular resolution _REFINE_TOL; every spec kind evaluates
+    all probes of a step in one array call.  samples_used counts every
+    evaluated probe.  A domain restriction at a critical radius of its
+    bounding paths raises DegenerateRadiusError, as angular_measure does.
     """
     if r <= 0:
         raise ValueError("r must be > 0")
@@ -240,7 +219,7 @@ def max_on_circle(
         wraps = False
 
     def g(thetas):
-        return _log_mods(spec, [r * cmath.exp(1j * th) for th in thetas])
+        return np.asarray(_log_mods(spec, r * np.exp(1j * np.asarray(thetas))), dtype=float)
 
     vals = g(angles)
     used = len(vals)
@@ -277,11 +256,11 @@ def max_on_circle(
             lo = angles[lo_i] if lo_i >= 0 and angles[lo_i] >= arc[0] else arc[0]
             hi = angles[hi_i] if hi_i < m and angles[hi_i] <= arc[1] else arc[1]
         brackets.append((lo, hi))
-    for th, val, ev in _golden_max(g, brackets, _REFINE_TOL):
-        used += ev
-        if val > best_val:
-            best_th, best_val = th, val
-    return GrowthSample(r, best_val, wrap_angle(best_th), domain_id, used)
+    th, val, ev = _refine(g, brackets, _REFINE_TOL)
+    used += ev
+    if val > best_val:
+        best_th, best_val = th, val
+    return GrowthSample(r, float(best_val), wrap_angle(float(best_th)), domain_id, used)
 
 
 # ---------------------------------------------------------------------------

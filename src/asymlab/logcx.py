@@ -66,6 +66,13 @@ class LogComplex:
             return LC_ZERO
         return LogComplex(math.log(abs(z)), wrap_angle(phase(z)))
 
+    @staticmethod
+    def from_log(v: complex) -> "LogComplex":
+        """From a natural logarithm ln|z| + i arg z; real part -inf is zero."""
+        if v.real == -math.inf:
+            return LC_ZERO
+        return LogComplex(float(v.real), wrap_angle(float(v.imag)))
+
     def to_complex(self) -> complex:
         if self.is_zero:
             return 0j

@@ -22,6 +22,7 @@ from asymlab.growth import (
     trace_ray,
     verify_theorem1,
 )
+from asymlab.logcx import wrap_angle
 from asymlab.specs import Polynomial, Series
 
 
@@ -65,6 +66,38 @@ def test_series_target_scan_matches_per_point(monkeypatch):
     assert (whole.r, whole.domain_id, whole.samples_used) == (single.r, single.domain_id, single.samples_used)
     assert whole.log_max_mod == pytest.approx(single.log_max_mod, rel=1e-13)
     assert whole.argmax_theta == pytest.approx(single.argmax_theta, abs=1e-6)
+
+
+def _counting_log_mods(monkeypatch):
+    """Count every point that max_on_circle evaluates."""
+    seen = []
+    inner = growth._log_mods
+
+    def counted(spec, zs):
+        seen.append(len(zs))
+        return inner(spec, zs)
+
+    monkeypatch.setattr(growth, "_log_mods", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "coeffs,r,theta,peak",
+    [
+        # |z + 0.7| on |z| = 2: one peak, at theta = 0
+        ([0.7, 1], 2.0, 0.0, math.log(2.7)),
+        # |z^2 - 1e-3 z + 0.5| on |z| = 1.5: peaks at theta = 0 and pi (real
+        # coefficients), 2.7485 and 2.7515, in different brackets
+        ([0.5, -1e-3, 1], 1.5, math.pi, math.log(2.7515)),
+    ],
+)
+def test_grid_polish_known_maximum(monkeypatch, coeffs, r, theta, peak):
+    seen = _counting_log_mods(monkeypatch)
+    gs = max_on_circle(Polynomial(coeffs), r, coarse=64)
+    assert abs(wrap_angle(gs.argmax_theta - theta)) <= growth._REFINE_TOL
+    assert gs.log_max_mod == pytest.approx(peak, abs=1e-12)
+    assert gs.samples_used == sum(seen)
+    assert seen[0] == 64 and len(seen) > 1
 
 
 def test_argmax_refinement_stable():

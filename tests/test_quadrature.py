@@ -104,3 +104,15 @@ def test_degenerate_segment():
 def test_bad_tol_rejected():
     with pytest.raises(ValueError):
         integrate_segment(lambda w: w, 0.0, 1.0, 0.0)
+
+
+def test_gauss_kronrod_rules_exact_in_double():
+    # the 15-point Kronrod rule integrates x^22 and the 7-point Gauss rule
+    # x^12 exactly; with full-precision constants the moments hold to a
+    # few units of double rounding
+    from asymlab.quadrature import _GAUSS_IDX, _WG, _WK, _XK
+
+    for k in range(12):
+        assert abs(_WK @ _XK ** (2 * k) - 2.0 / (2 * k + 1)) <= 1e-15
+    for k in range(7):
+        assert abs(_WG @ _XK[_GAUSS_IDX] ** (2 * k) - 2.0 / (2 * k + 1)) <= 1e-15
