@@ -214,6 +214,9 @@ def cmd_growth(args) -> int:
 def cmd_domain(args) -> int:
     sysm = _load_system(args)
     radii = parse_radii(args.radii)
+    if args.wos:  # a bad --z1, --walks or --seed is reported before any work
+        z1 = _parse_complex(args.z1)
+        cfg = WosConfig(n_walks=args.walks, seed=args.seed)
     reports = []
     for j in range(1, sysm.n + 1):
         rep = carleman_report(sysm, j, args.R1, args.R, tol=args.tol)
@@ -224,8 +227,6 @@ def cmd_domain(args) -> int:
         sector.append({"t": t, "lhs": lhs, "rhs": rhs, "holds": holds})
     doc = {"carleman": reports, "sector_inequality": sector}
     if args.wos:
-        z1 = _parse_complex(args.z1)
-        cfg = WosConfig(n_walks=args.walks, seed=args.seed)
         est = estimate_harmonic_measure(sysm, args.j, args.R, z1, cfg)
         doc["wos"] = {
             "j": args.j,

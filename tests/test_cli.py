@@ -151,6 +151,17 @@ def test_domain_wos_seed_echoed(tmp_path):
     assert 0.0 <= doc["wos"]["omega_hat"] <= 1.0
 
 
+@pytest.mark.parametrize("seed", ["-1", "9223372036854775808", "18446744073709551616"])
+def test_domain_wos_seed_out_of_range_exit_2(tmp_path, capsys, seed):
+    rc = run(
+        tmp_path, "domain", "--rays", "2", "--R1", "1", "--R", "8",
+        "--radii", "2", "--wos", "--z1=-2i", "--walks", "50", "--seed", seed,
+        "--out", "d.json", "--slices-out", "s.csv",
+    )
+    assert rc == 2
+    assert "seed must lie in [0, 2**63)" in capsys.readouterr().err
+
+
 def test_check_filter_and_exit(tmp_path, capsys):
     rc = run(tmp_path, "check", "--filter", "carleman")
     assert rc == 0
