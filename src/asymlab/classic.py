@@ -24,6 +24,7 @@ remains only in eval_dca(..., path=...), an independent check.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -98,7 +99,8 @@ def log_dca(z, n: int):
     r = np.abs(z)
     mod_s = r ** (0.5 * n)  # |S|
     small = mod_s < _SERIES_S
-    out[small] = _log_f_series(z[small], n)
+    if small.any():
+        out[small] = _log_f_series(z[small], n)
     z, r, mod_s = z[~small], r[~small], mod_s[~small]
     if z.size:
         th = np.angle(z)
@@ -118,7 +120,7 @@ def log_dca(z, n: int):
         c = complex(-math.log(n), math.pi / n)
         m = z.size
         terms = np.vstack([
-            np.full(m, math.log(dca_asymptotic_value(0, n).real), complex),
+            np.full(m, _log_a(n), complex),
             (lg[:m] + c) - w[:m],
             (lg[m:] + c.conjugate()) - w[m:],
         ])
@@ -152,6 +154,12 @@ def eval_dca(z: complex, cfg: ClassicDCA, tol: float = 1e-10, path=None) -> comp
     if v.real > _LOG_MAX:
         raise OverflowError("|f(z)| = e^%.6g overflows a double; use log_dca" % v.real)
     return complex(np.exp(v))
+
+
+@functools.lru_cache(maxsize=64)
+def _log_a(n: int) -> float:
+    """ln A_n, computed once per n."""
+    return math.log(dca_asymptotic_value(0, n).real)
 
 
 def dca_asymptotic_value(nu: int, n: int) -> complex:

@@ -87,7 +87,7 @@ def parse_radii(text: str) -> list:
         if len(parts) != 3:
             raise UsageError("radii grid must be a:b:step")
         a, b, step = (float(p) for p in parts)
-        if step <= 0 or b < a:
+        if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
             raise UsageError("bad radii grid %r" % text)
         out = []
         r = a
@@ -95,7 +95,10 @@ def parse_radii(text: str) -> list:
             out.append(round(r, 12))
             r += step
         return out
-    return [float(p) for p in text.split(",")]
+    out = [float(p) for p in text.split(",")]
+    if not all(map(math.isfinite, out)):
+        raise UsageError("radii must be finite: %r" % text)
+    return out
 
 
 def _read_input(path: str, parse):

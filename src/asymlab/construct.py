@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gammainc import log_gamma_upper, log_sum
-from .logcx import LC_ZERO, LogComplex, wrap_angle
+from .logcx import LogComplex, wrap_angle
 from .quadrature import integrate_segment, truncation_radius
 from .specs import TargetFunction
 
@@ -227,21 +227,28 @@ def eval_f(z: complex, cf: ConstructedF) -> LogComplex:
     return LogComplex.from_log(log_f([complex(z)], cf)[0])
 
 
-def residual_lc(z_on_ray: complex, j0: int, cf: ConstructedF) -> LogComplex:
-    """f(z) - a_{j0}(z) for z on ray j0, in log scale: the Q terms of f
-    alone, so nothing near-equal is subtracted."""
-    z = complex(z_on_ray)
+def log_residual(z, j0: int, cf: ConstructedF):
+    """ln(f(z) - a_{j0}(z)) at every point of the array z on ray j0: the Q
+    terms of f alone, so nothing near-equal is subtracted.  Raises
+    NotOnRayError when a point is 0 or off the ray by more than ANG_TOL."""
     if not 1 <= j0 <= cf.n:
         raise ValueError("ray index out of range")
+    z = np.asarray(z, dtype=complex).ravel()
     if cf.n == 1:
-        return LC_ZERO
-    if z == 0:
+        return np.full(z.size, -np.inf, complex)
+    if np.any(z == 0):
         raise NotOnRayError("residual undefined at the origin")
-    if abs(wrap_angle(cmath.phase(z) - cf.ray_angle(j0))) > ANG_TOL:
+    off = np.angle(z) - cf.ray_angle(j0)
+    if np.any(np.abs(np.remainder(off + math.pi, 2.0 * math.pi) - math.pi) > ANG_TOL):
         raise NotOnRayError("z is not on ray %d within angular tolerance" % j0)
     with np.errstate(divide="ignore"):
-        terms = _log_f_terms(np.array([z]), cf)[1:]
-        return LogComplex.from_log(log_sum(terms)[0])
+        return log_sum(_log_f_terms(z, cf)[1:])
+
+
+def residual_lc(z_on_ray: complex, j0: int, cf: ConstructedF) -> LogComplex:
+    """f(z) - a_{j0}(z) for z on ray j0, in log scale; the one-point case of
+    log_residual."""
+    return LogComplex.from_log(log_residual([complex(z_on_ray)], j0, cf)[0])
 
 
 def eval_residual(z_on_ray: complex, j0: int, cf: ConstructedF) -> complex:

@@ -341,6 +341,8 @@ def angular_measure(sys: PathSystem, j: int, t: float) -> AngularSlice:
     Raises DegenerateRadiusError where circle_crossing_angles does: when
     |z| = t passes through a vertex of either path or touches one.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     g1, g2 = sys.domain_boundary(j)
     if g2 is g1:
         crossings = [(th, True) for th, _ in g1.circle_crossing_angles(t)]

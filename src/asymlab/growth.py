@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classic import ClassicDCA, log_dca
-from .construct import ConstructedF, eval_f, log_f, residual_lc
+from .construct import ConstructedF, eval_f, log_f, log_residual
 from .geometry import (
     CarlemanReport,
     EmptySliceError,
@@ -193,8 +193,8 @@ def max_on_circle(
     evaluated probe.  A domain restriction at a critical radius of its
     bounding paths raises DegenerateRadiusError, as angular_measure does.
     """
-    if r <= 0:
-        raise ValueError("r must be > 0")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be finite and > 0")
     if coarse < 64:
         raise ValueError("coarse must be >= 64")
     domain_id = None
@@ -313,16 +313,16 @@ def fit_order(samples) -> OrderFit:
 # ray residual traces
 
 def trace_ray(spec: EntireSpec, j: int, radii) -> list:
-    """(r, log10 |f - a_j|) along target ray j of a constructed spec."""
+    """(r, log10 |f - a_j|) along target ray j of a constructed spec, in one
+    array evaluation."""
     if not isinstance(spec, Constructed):
         raise TypeError("trace_ray needs a Constructed spec")
+    radii = np.asarray(radii, dtype=float).ravel()
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be finite")
     cf = spec.cf
-    ang = cf.ray_angle(j)
-    out = []
-    for r in radii:
-        z = r * cmath.exp(1j * ang)
-        out.append((float(r), residual_lc(z, j, cf).abs_log10()))
-    return out
+    lg = log_residual(radii * cmath.exp(1j * cf.ray_angle(j)), j, cf).real / math.log(10.0)
+    return [(float(r), float(v)) for r, v in zip(radii, lg)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ Philox4x64-10 applied to the counter (k//4 + 1, 0, 0, 0) under the key
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -142,8 +143,10 @@ def estimate_harmonic_measure(
     can only lower the estimate.
     """
     z1 = complex(z1)
-    if R <= 0:
-        raise ValueError("R must be > 0")
+    if not 0 < R < math.inf:
+        raise ValueError("R must be finite and > 0")
+    if not cmath.isfinite(z1):
+        raise ValueError("z1 must be finite")
     if abs(z1) >= R or not point_in_domain(sys, j, z1):
         raise StartOutsideDomainError("start point is outside the clipped domain")
     segs = _boundary_segments(sys, j, R)

@@ -49,6 +49,15 @@ def test_parse_radii():
         parse_radii("3:1:0.5")
 
 
+def test_parse_radii_non_finite():
+    # "5:inf:1" used to grow its list without end
+    from asymlab.cli import UsageError
+
+    for bad in ("5:inf:1", "nan:5:1", "5:nan:1", "1:5:nan", "1:5:inf", "-inf:5:1", "nan,5,6", "5,inf"):
+        with pytest.raises(UsageError):
+            parse_radii(bad)
+
+
 # --- subcommands -----------------------------------------------------------
 
 def test_construct_writes_spec_and_manifest(tmp_path, capsys):
@@ -104,6 +113,12 @@ def test_growth_classic(tmp_path, capsys):
     lines = (tmp_path / "g.csv").read_text().strip().splitlines()
     assert lines[0] == "r,log_max_mod,argmax_theta,domain_id"
     assert len(lines) == 7
+
+
+def test_growth_nan_radius_exit_2(tmp_path, capsys):
+    # used to reach the incomplete-gamma kernel and exit 4
+    assert run(tmp_path, "growth", "--f", "classic:2", "--radii", "nan,5,6,7,8", "--out", "g.csv") == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_growth_single_radius_fails(tmp_path):

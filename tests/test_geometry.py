@@ -42,6 +42,14 @@ def test_quarter_plane_measure():
         assert angular_measure(sysm, 2, t).phi == pytest.approx(3 * math.pi / 2, abs=1e-12)
 
 
+def test_angular_measure_non_finite_radius():
+    # t = nan used to return an empty slice, phi = 0
+    sysm = PathSystem.equally_spaced_rays(3)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            angular_measure(sysm, 1, t)
+
+
 def test_l_shaped_path_against_dense_scan():
     L = SegmentalPath([0, 1, 1 + 10j], 1j)
     cases = [(PathSystem((L, SegmentalPath.ray(math.pi))), 1, (0.5, 2.0), 5000)]

@@ -6,7 +6,7 @@ import pytest
 
 from asymlab import growth
 from asymlab.classic import ClassicDCA
-from asymlab.construct import ConstructedF, eval_f
+from asymlab.construct import ConstructedF, NotOnRayError, eval_f, residual_lc
 from asymlab.geometry import DegenerateRadiusError, PathSystem, SegmentalPath
 from asymlab.growth import (
     Classic,
@@ -195,6 +195,33 @@ def test_trace_ray_symmetry():
     t2 = trace_ray(Constructed(cf), 2, [2.0, 3.0])
     for (_, a), (_, b) in zip(t1, t2):
         assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_non_finite_radius_raises():
+    cf = ConstructedF(2, (Polynomial([1]), Polynomial([0, 1])))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            max_on_circle(Classic(ClassicDCA(2)), bad)
+        with pytest.raises(ValueError, match="finite"):
+            trace_ray(Constructed(cf), 1, [2.0, bad])
+
+
+def test_trace_ray_matches_residual_lc():
+    # trace_ray evaluates a ray in one array call; residual_lc is its
+    # one-point case
+    cf = ConstructedF(3, (Polynomial([1, 0.5]), Polynomial([2j]), Polynomial([0.3, 0, 1])))
+    radii = [0.4, 1.1, 1.3, 1.9, 3.0, 5.5]
+    for j in (1, 2, 3):
+        tr = trace_ray(Constructed(cf), j, radii)
+        assert [r for r, _ in tr] == radii
+        for r, lg in tr:
+            one = residual_lc(r * cmath.exp(1j * cf.ray_angle(j)), j, cf).abs_log10()
+            assert lg == pytest.approx(one, abs=1e-13)
+    assert trace_ray(Constructed(cf), 1, []) == []
+    with pytest.raises(NotOnRayError):
+        trace_ray(Constructed(cf), 1, [2.0, 0.0])
+    with pytest.raises(NotOnRayError):
+        trace_ray(Constructed(cf), 1, [2.0, -1.0])
 
 
 def test_trace_ray_type_guard():

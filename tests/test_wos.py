@@ -66,6 +66,13 @@ def test_start_outside_raises():
         )
 
 
+def test_non_finite_radius_or_start_raises():
+    # R = nan used to run every round of every walk and return 0
+    for R, z1 in ((math.nan, 1 + 1j), (math.inf, 1 + 1j), (4.0, complex(math.nan, 1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_harmonic_measure(QSYS, 1, R, z1, WosConfig(10))
+
+
 def test_determinism_bit_identical():
     cfg = WosConfig(n_walks=3000, seed=123)
     z1 = 1.2 * cmath.exp(1j * math.pi / 4)
