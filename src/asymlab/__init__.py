@@ -51,7 +51,7 @@ from .growth import (
     trace_ray,
     verify_theorem1,
 )
-from .logcx import CancellationWarning, LC_ONE, LC_ZERO, LogComplex, lc_add, lc_exp_zn, lc_mul
+from .logcx import CancellationWarning, LC_ONE, LC_ZERO, LogComplex, lc_add, lc_mul
 from .quadrature import (
     QuadratureNonconvergence,
     QuadResult,

@@ -45,6 +45,7 @@ from .specs import Polynomial, Series
 from .wos import WosConfig, estimate_harmonic_measure
 
 _F = "%.17g"  # stable floating-point formatting for CSV
+_MAX_RADII = 10**6  # longest a:b:step grid parse_radii builds
 
 
 class UsageError(ValueError):
@@ -78,7 +79,7 @@ def parse_target(text: str):
 
 
 def parse_radii(text: str) -> list:
-    """`a:b:step` grid or comma list."""
+    """`a:b:step` grid of at most _MAX_RADII points, or comma list."""
     text = text.strip()
     if not text:
         raise UsageError("empty radii list")
@@ -89,6 +90,8 @@ def parse_radii(text: str) -> list:
         a, b, step = (float(p) for p in parts)
         if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
             raise UsageError("bad radii grid %r" % text)
+        if (b - a) / step > _MAX_RADII:
+            raise UsageError("radii grid %r has more than %d points" % (text, _MAX_RADII))
         out = []
         r = a
         while r <= b * (1 + 1e-12):

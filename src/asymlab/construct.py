@@ -194,9 +194,6 @@ class ConstructedF:
             raise ValueError("ray index out of range")
         return wrap_angle(2.0 * math.pi * j / self.n)
 
-    def has_real_coeffs(self) -> bool:
-        return all(a.has_real_coeffs() for a in self.a_list)
-
 
 def _log_f_terms(z, cf: ConstructedF):
     """ln of the target a_k(z) (first row) and of the Q terms

@@ -13,7 +13,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +23,9 @@ from .quadrature import integrate_segment
 
 TWO_PI = 2.0 * math.pi
 _DEGEN_EPS = 1e-12
-# every degeneracy test of circle_crossing_angles fires within
-# _DEGEN_EPS * max(t, 1, element length) of a critical radius (a truncated
-# terminal ray is shorter than 3 max(t, 1)); Carleman quadrature keeps ten
-# times that distance from each critical radius
+# circle_crossing_angles raises exactly within _DEGEN_EPS * max(t, 1) of a
+# critical radius; Carleman quadrature keeps at least ten times that
+# distance from each one
 _CLEARANCE = 10 * _DEGEN_EPS
 
 
@@ -113,42 +113,33 @@ class SegmentalPath:
                 radii.add(abs(a + s * d))
         return sorted(radii)
 
+    @cached_property
+    def _critical(self) -> tuple:
+        return tuple(self.critical_radii())
+
     def circle_crossing_angles(self, t: float) -> list:
         """Intersections of the path with |z| = t as (angle, outward)
         pairs, outward being True where |z| increases along the path;
-        raises DegenerateRadiusError when t is within _DEGEN_EPS * max(t, 1)
-        of a vertex modulus or of an element's closest approach to 0 (a
-        tangency), the radii critical_radii lists."""
+        raises DegenerateRadiusError exactly when t is within
+        _DEGEN_EPS * max(t, 1) of one of critical_radii, where the circle
+        passes a vertex or touches the path."""
         if t <= 0:
             raise ValueError("radius must be positive")
-        for v in self.vertices[1:]:
-            if abs(abs(v) - t) < _DEGEN_EPS * max(t, 1.0):
-                raise DegenerateRadiusError("vertex at radius %g" % t)
-        if abs(abs(self.vertices[-1]) - t) < _DEGEN_EPS * max(t, 1.0):
-            raise DegenerateRadiusError("ray origin at radius %g" % t)
+        if any(abs(c - t) < _DEGEN_EPS * max(t, 1.0) for c in self._critical):
+            raise DegenerateRadiusError(
+                "circle of radius %g passes a vertex of the path or touches it" % t
+            )
         angles = []
         for a, b in self.elements(t):
             d = b - a
             qa = abs(d) ** 2
             qb = 2.0 * (a * d.conjugate()).real
-            near = -qb / (2.0 * qa)  # closest approach to 0 on the line
-            if 0.0 < near < 1.0 and abs(abs(a + near * d) - t) < _DEGEN_EPS * max(t, 1.0):
-                raise DegenerateRadiusError("circle tangent at radius %g" % t)
-            qc = abs(a) ** 2 - t * t
-            disc = qb * qb - 4.0 * qa * qc
-            if disc < _DEGEN_EPS * max(qa * t * t, 1e-300):
-                # no crossing: a tangency inside the element raised above
+            disc = qb * qb - 4.0 * qa * (abs(a) ** 2 - t * t)
+            if disc <= 0.0:
                 continue
             root = math.sqrt(disc)
-            lo, hi = (-qb - root) / (2 * qa), (-qb + root) / (2 * qa)
             # the smaller root enters the disk, the larger one leaves it
-            for s, outward in ((lo, False), (hi, True)):
-                if -_DEGEN_EPS < s < _DEGEN_EPS or abs(s - 1.0) < _DEGEN_EPS:
-                    # crossing at a shared vertex is caught above; at the
-                    # truncation end it is beyond reach and ignorable
-                    if abs(a + s * d) <= t * (1 + 1e-9) and s < 0.5:
-                        raise DegenerateRadiusError("crossing at segment end")
-                    continue
+            for s, outward in (((-qb - root) / (2 * qa), False), ((-qb + root) / (2 * qa), True)):
                 if 0.0 < s < 1.0:
                     angles.append((wrap_angle(cmath.phase(a + s * d)), outward))
         return angles
@@ -294,16 +285,7 @@ class CarlemanReport:
     kappa2: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "R1": self.R1,
-            "R": self.R,
-            "integral_I": self.integral_I,
-            "omega_bound": self.omega_bound,
-            "logM_lower": self.logM_lower,
-            "kappa": self.kappa,
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .classic import ClassicDCA, log_dca
 from .construct import ConstructedF, eval_f, log_f, log_residual
 from .geometry import (
+    TWO_PI,
     CarlemanReport,
     EmptySliceError,
     KappaParams,
@@ -151,29 +152,29 @@ class GrowthSample:
     samples_used: int
 
 
-def _refine(g, brackets, tol):
-    """Grid refinement of every (lo, hi) bracket to width tol.  Each step
-    calls g (an array of angles to an array of values) once, on _GRID
-    equally spaced interior points of every bracket still wider than tol,
-    and narrows each bracket to the neighbours of its best point.  Returns
-    the best angle and value found (value -inf when no bracket was wider
-    than tol) and the number of evaluations."""
-    lo, hi = np.array(brackets, dtype=float).T
-    best_th, best_val, used = 0.0, -math.inf, 0
+def _refine(g, lo, hi, th, val, tol):
+    """Grid refinement of the brackets [lo, hi] (arrays) to width tol,
+    starting from the best point (th, val) known so far.  Each step calls
+    g (an array of angles to an array of values) once, on _GRID equally
+    spaced interior points of every bracket still wider than tol, and
+    narrows each bracket to the neighbours of its best point.  Returns the
+    best angle and value seen, the first of equals, and the number of
+    evaluations."""
+    used = 0
     steps = np.arange(1, _GRID + 1)
     while True:
         wide = np.flatnonzero(hi - lo > tol)
         if not wide.size:
-            return best_th, best_val, used
+            return th, val, used
         h = (hi[wide] - lo[wide]) / (_GRID + 1)
-        th = lo[wide, None] + h[:, None] * steps
-        vals = g(th.ravel()).reshape(th.shape)
-        used += th.size
+        grid = lo[wide, None] + h[:, None] * steps
+        vals = g(grid.ravel()).reshape(grid.shape)
+        used += grid.size
         i = (np.arange(wide.size), vals.argmax(axis=1))
-        top_th, top = th[i], vals[i]
+        top_th, top = grid[i], vals[i]
         j = int(top.argmax())
-        if top[j] > best_val:
-            best_th, best_val = float(top_th[j]), float(top[j])
+        if top[j] > val:
+            th, val = float(top_th[j]), float(top[j])
         lo[wide], hi[wide] = top_th - h, top_th + h
 
 
@@ -186,81 +187,56 @@ def max_on_circle(
     """Maximum of log|f| on |z| = r, optionally restricted to a domain of a
     path system.
 
-    Coarse angular probing (restricted to the domain's arcs when given)
-    followed by a grid polish of the brackets around the best three local
-    maxima, to angular resolution _REFINE_TOL; every spec kind evaluates
-    all probes of a step in one array call.  samples_used counts every
-    evaluated probe.  A domain restriction at a critical radius of its
-    bounding paths raises DegenerateRadiusError, as angular_measure does.
+    The circle is a list of arcs: the full circle is the one arc
+    (-pi, pi), a domain brings the arcs of angular_measure.  Each arc gets
+    at least 4 of about `coarse` probes in proportion to its length, at the
+    midpoints of equal steps.  The three best local maxima of the probe
+    grid (cyclic only on the full circle) are bracketed by their
+    neighbouring probes, clamped to the probe's own arc in a domain, and
+    polished on a grid to angular resolution _REFINE_TOL; every spec kind
+    evaluates all probes of a step in one array call.  samples_used counts
+    every evaluated probe.  A domain restriction at a critical radius of
+    its bounding paths raises DegenerateRadiusError, as angular_measure
+    does.
     """
     if not 0 < r < math.inf:
         raise ValueError("r must be finite and > 0")
     if coarse < 64:
         raise ValueError("coarse must be >= 64")
-    domain_id = None
-    if sys_domain is None:
-        step = 2.0 * math.pi / coarse
-        angles = [-math.pi + (k + 0.5) * step for k in range(coarse)]
-        arcs = [(-math.pi, math.pi)]
-        wraps = True
+    full = sys_domain is None
+    if full:
+        domain_id, arcs = None, [(-math.pi, math.pi)]
     else:
-        sys_, j = sys_domain
-        domain_id = j
-        sl = angular_measure(sys_, j, r)
-        if not sl.arcs:
-            raise EmptySliceError("domain %d misses the circle of radius %g" % (j, r))
-        total = sum(b - a for a, b in sl.arcs)
-        angles = []
-        arcs = list(sl.arcs)
-        for a, b in arcs:
-            m = max(4, int(round(coarse * (b - a) / total)))
-            step = (b - a) / m
-            angles.extend(a + (k + 0.5) * step for k in range(m))
-        wraps = False
+        sys_, domain_id = sys_domain
+        arcs = angular_measure(sys_, domain_id, r).arcs
+        if not arcs:
+            raise EmptySliceError("domain %d misses the circle of radius %g" % (domain_id, r))
+    a, b = np.array(arcs).T
+    counts = np.maximum(4, np.rint(coarse * (b - a) / sum(b - a))).astype(int)
+    angles = np.concatenate(
+        [a0 + (np.arange(m) + 0.5) * ((b0 - a0) / m) for a0, b0, m in zip(a, b, counts)]
+    )
 
     def g(thetas):
-        return np.asarray(_log_mods(spec, r * np.exp(1j * np.asarray(thetas))), dtype=float)
+        return np.asarray(_log_mods(spec, r * np.exp(1j * thetas)), dtype=float)
 
     vals = g(angles)
-    used = len(vals)
-    m = len(angles)
-    # local maxima on the probe grid (cyclic only for the full circle)
-    idx = sorted(range(m), key=lambda i: vals[i], reverse=True)
-    picked = []
-    for i in idx:
-        if len(picked) == 3:
-            break
-        lo_i, hi_i = i - 1, i + 1
-        if wraps:
-            lo_i %= m
-            hi_i %= m
-        neighbors_ok = True
-        if 0 <= lo_i < m and vals[lo_i] > vals[i]:
-            neighbors_ok = False
-        if 0 <= hi_i < m and vals[hi_i] > vals[i]:
-            neighbors_ok = False
-        if neighbors_ok:
-            picked.append(i)
-    if not picked:
-        picked = idx[:1]
-    best_th, best_val = angles[idx[0]], vals[idx[0]]
-    brackets = []
-    for i in picked:
-        lo_i, hi_i = i - 1, i + 1
-        if wraps:
-            lo = angles[lo_i % m] if lo_i >= 0 else angles[-1] - 2.0 * math.pi
-            hi = angles[hi_i % m] if hi_i < m else angles[0] + 2.0 * math.pi
-        else:
-            # clamp the bracket to the arc containing the probe
-            arc = next(a for a in arcs if a[0] <= angles[i] <= a[1] + 1e-15)
-            lo = angles[lo_i] if lo_i >= 0 and angles[lo_i] >= arc[0] else arc[0]
-            hi = angles[hi_i] if hi_i < m and angles[hi_i] <= arc[1] else arc[1]
-        brackets.append((lo, hi))
-    th, val, ev = _refine(g, brackets, _REFINE_TOL)
-    used += ev
-    if val > best_val:
-        best_th, best_val = th, val
-    return GrowthSample(r, float(best_val), wrap_angle(float(best_th)), domain_id, used)
+    left, right = np.roll(vals, 1), np.roll(vals, -1)
+    if not full:
+        left[0] = right[-1] = -math.inf
+    order = np.argsort(-vals, kind="stable")
+    peaks = ~(left > vals) & ~(right > vals)
+    picked = order[peaks[order]][:3]
+    # a domain's first and last probes wrap to neighbours outside its
+    # arcs, which the clamp replaces by the arc ends
+    lo = np.concatenate([angles[-1:] - TWO_PI, angles[:-1]])[picked]
+    hi = np.concatenate([angles[1:], angles[:1] + TWO_PI])[picked]
+    if not full:
+        lo = np.maximum(lo, np.repeat(a, counts)[picked])
+        hi = np.minimum(hi, np.repeat(b, counts)[picked])
+    best = order[0]
+    th, val, used = _refine(g, lo, hi, float(angles[best]), float(vals[best]), _REFINE_TOL)
+    return GrowthSample(r, val, wrap_angle(th), domain_id, angles.size + used)
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +336,7 @@ class Theorem1Report:
     consistent_all: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "n": self.n,
-            "R1": self.R1,
-            "hypothesis_max": list(self.hypothesis_max),
-            "hypothesis_flags": list(self.hypothesis_flags),
-            "hypothesis_met": self.hypothesis_met,
-            "conclusion_min_ratio": self.conclusion_min_ratio,
-            "conclusion_positive": self.conclusion_positive,
-            "radius_checks": [
-                {
-                    "r": c.r,
-                    "j_selected": c.j_selected,
-                    "log_max_measured": c.log_max_measured,
-                    "logM_lower": c.logM_lower,
-                    "consistent": c.consistent,
-                }
-                for c in self.radius_checks
-            ],
-            "consistent_all": self.consistent_all,
-        }
+        return asdict(self)
 
 
 def verify_theorem1(

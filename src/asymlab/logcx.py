@@ -130,10 +130,3 @@ def lc_add(a: LogComplex, b: LogComplex, cancel_rel: float = 1e-10) -> LogComple
         return LC_ZERO
     return LogComplex(a.log_mod + math.log(mag), wrap_angle(a.arg + phase(s)))
 
-
-def lc_exp_zn(z: complex, n: int) -> LogComplex:
-    """e^{z^n} with log_mod = Re(z^n) and arg = Im(z^n) reduced mod 2*pi."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = complex(z) ** n
-    return LogComplex(w.real, wrap_angle(w.imag))

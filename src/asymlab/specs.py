@@ -40,9 +40,6 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def has_real_coeffs(self) -> bool:
-        return all(c.imag == 0 for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class Series:
@@ -65,10 +62,6 @@ class Series:
         if self.tail_bound_radius <= 0:
             raise ValueError("tail_bound_radius must be > 0")
 
-    def tail_bound(self) -> float:
-        r = self.tail_bound_radius
-        return abs(self.coeffs[-1]) * r ** (len(self.coeffs) - 1)
-
     def __call__(self, z):
         """Value at z, a complex number or a numpy array of them (every
         element must lie within the certified radius)."""
@@ -82,9 +75,6 @@ class Series:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def has_real_coeffs(self) -> bool:
-        return all(c.imag == 0 for c in self.coeffs)
 
 
 TargetFunction = Polynomial | Series

@@ -49,6 +49,12 @@ def test_parse_radii():
         parse_radii("3:1:0.5")
 
 
+def test_growth_radii_grid_too_long_exit_2(tmp_path, capsys):
+    # used to build the list until memory ran out
+    assert run(tmp_path, "growth", "--f", "classic:2", "--radii", "1:1e12:1", "--out", "g.csv") == 2
+    assert "more than" in capsys.readouterr().err
+
+
 def test_parse_radii_non_finite():
     # "5:inf:1" used to grow its list without end
     from asymlab.cli import UsageError

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymlab.geometry import (
+    _DEGEN_EPS,
     DegenerateRadiusError,
     KappaParams,
     LabelConflictError,
@@ -104,6 +105,40 @@ def test_degenerate_radius_raises():
                 path.circle_crossing_angles(t)
         for t in (2.0 - 1e-9, 2.0 + 1e-9):
             path.circle_crossing_angles(t)
+
+
+_CROSSING_PATHS = [p for seed in range(8) for p in make_random_system(seed).paths] + [
+    SegmentalPath.ray(0.0),
+    SegmentalPath.ray(-2.5),
+    SegmentalPath([0, 2 + 1j], -1j),
+    SegmentalPath([0, 3, 3 + 2j, -3 + 2j], -1),
+]
+
+
+@given(
+    path=st.sampled_from(_CROSSING_PATHS),
+    pick=st.integers(0, 63),
+    offset=st.floats(-30.0, 30.0),
+    log_t=st.floats(-15.0, 3.0),
+)
+@example(path=SegmentalPath.ray(0.3), pick=0, offset=0.0, log_t=-13.0)
+@settings(max_examples=400, deadline=None)
+def test_crossings_raise_exactly_at_critical_radii(path, pick, offset, log_t):
+    # t is either offset tolerances away from a critical radius or anywhere
+    crit = path.critical_radii()
+    if crit and pick < 48:
+        c = crit[pick % len(crit)]
+        t = c + offset * _DEGEN_EPS * max(c, 1.0)
+    else:
+        t = 10.0**log_t
+    if any(abs(c - t) < _DEGEN_EPS * max(t, 1.0) for c in crit):
+        with pytest.raises(DegenerateRadiusError):
+            path.circle_crossing_angles(t)
+    else:
+        # the path runs from 0 out to infinity: it leaves the disk once
+        # more often than it enters
+        outward = [out for _, out in path.circle_crossing_angles(t)]
+        assert outward.count(True) - outward.count(False) == 1
 
 
 def test_slices_sum_below_full_circle():

@@ -7,7 +7,7 @@ import pytest
 from asymlab import growth
 from asymlab.classic import ClassicDCA
 from asymlab.construct import ConstructedF, NotOnRayError, eval_f, residual_lc
-from asymlab.geometry import DegenerateRadiusError, PathSystem, SegmentalPath
+from asymlab.geometry import DegenerateRadiusError, PathSystem, SegmentalPath, angular_measure
 from asymlab.growth import (
     Classic,
     Constructed,
@@ -139,6 +139,29 @@ def test_max_on_circle_critical_radius_raises():
     )
     with pytest.raises(DegenerateRadiusError):
         max_on_circle(Polynomial([0, 1]), 2.0, (sysm, 1), coarse=64)
+
+
+def test_max_on_circle_two_arc_domain():
+    # the kinked path leaves |z| = 2 at 0, comes back in through the upper
+    # half plane and leaves again toward -1, so each domain meets the circle
+    # in two arcs; the maximum must lie on one of them
+    kinked = SegmentalPath([0, 3, 2 + 2j, 1j], -1)
+    sysm = PathSystem((SegmentalPath.ray(-math.pi / 2), kinked))
+    thetas = np.linspace(-math.pi, math.pi, 20000, endpoint=False)
+    two_arcs = 0
+    for j in (1, 2):
+        arcs = angular_measure(sysm, j, 2.0).arcs
+        two_arcs += len(arcs) == 2
+        inside = np.zeros(thetas.shape, dtype=bool)
+        for a, b in arcs:
+            inside |= (thetas - a) % (2 * math.pi) < b - a
+        for spec in (Polynomial([0, 1, 0, 1j]), Polynomial([1, -2, 0.5]), Classic(ClassicDCA(2))):
+            gs = max_on_circle(spec, 2.0, (sysm, j), coarse=64)
+            assert any((gs.argmax_theta - a) % (2 * math.pi) <= b - a for a, b in arcs)
+            probes = np.concatenate([thetas[inside], np.ravel(arcs)])
+            dense = growth._log_mods(spec, 2.0 * np.exp(1j * probes)).max()
+            assert gs.log_max_mod == pytest.approx(dense, abs=1e-6)
+    assert two_arcs == 2
 
 
 def test_fit_order_exact_power_law():

@@ -11,7 +11,6 @@ from asymlab.logcx import (
     CancellationWarning,
     LogComplex,
     lc_add,
-    lc_exp_zn,
     lc_mul,
     wrap_angle,
 )
@@ -87,29 +86,6 @@ def test_mul_associativity(a, b, c):
     r2 = lc_mul(a, lc_mul(b, c))
     assert r1.log_mod == pytest.approx(r2.log_mod, rel=1e-12, abs=1e-12)
     assert cmath.exp(1j * r1.arg) == pytest.approx(cmath.exp(1j * r2.arg), abs=1e-12)
-
-
-@given(
-    z=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-    n=st.integers(1, 4),
-)
-@settings(max_examples=200)
-def test_exp_zn_matches_direct(z, n):
-    w = z**n
-    if abs(w.real) >= 600:
-        return
-    got = lc_exp_zn(z, n)
-    want = LogComplex.from_complex(cmath.exp(w))
-    assert got.log_mod == pytest.approx(want.log_mod, rel=1e-12, abs=1e-12)
-    assert cmath.exp(1j * got.arg) == pytest.approx(cmath.exp(1j * want.arg), abs=1e-9)
-
-
-def test_exp_zn_examples():
-    assert lc_exp_zn(0, 3) == LogComplex(0.0, 0.0)
-    assert lc_exp_zn(2, 2) == LogComplex(4.0, 0.0)
-    r = lc_exp_zn(2j, 2)
-    assert r.log_mod == pytest.approx(-4.0, abs=1e-15)
-    assert r.arg == pytest.approx(0.0, abs=1e-15)
 
 
 def test_reciprocal_and_zero_division():
