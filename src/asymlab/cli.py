@@ -92,12 +92,11 @@ def parse_radii(text: str) -> list:
             raise UsageError("bad radii grid %r" % text)
         if (b - a) / step > _MAX_RADII:
             raise UsageError("radii grid %r has more than %d points" % (text, _MAX_RADII))
-        out = []
-        r = a
-        while r <= b * (1 + 1e-12):
-            out.append(round(r, 12))
-            r += step
-        return out
+        # points a + k·step up to b, with a slop of b·1e-12 for rounding
+        # that never reaches half a step; counted rather than accumulated,
+        # since r += step stops advancing when step is below r's resolution
+        hi = min(b * (1 + 1e-12), b + step / 2)
+        return [round(a + k * step, 12) for k in range(int((hi - a) // step) + 1)]
     out = [float(p) for p in text.split(",")]
     if not all(map(math.isfinite, out)):
         raise UsageError("radii must be finite: %r" % text)

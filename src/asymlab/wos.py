@@ -88,13 +88,24 @@ def _boundary_segments(sys: PathSystem, j: int, R: float) -> np.ndarray:
 
 
 def _path_distance(pos: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Distance from each point of `pos` to the nearest boundary segment."""
-    a = segs[:, 0][None, :]
-    d = (segs[:, 1] - segs[:, 0])[None, :]
-    p = pos[:, None]
-    t = ((p - a) * d.conjugate()).real / (d * d.conjugate()).real
-    np.clip(t, 0.0, 1.0, out=t)
-    return np.abs(p - (a + t * d)).min(axis=1)
+    """Distance from each point of `pos` to the nearest boundary segment.
+
+    A domain has 2 segments (rays) or 4 (kinked paths), so the loop runs
+    over the segments, each pass on contiguous 1-D arrays over the points:
+    a (points × segments) broadcast would run numpy's inner loops over 2–4
+    elements per point.  Every value is rounded as in that broadcast: the
+    same complex products, foot a + t·d and complex abs, with |d|² from an
+    array product, because numpy's scalar complex product can round its
+    real part differently from the array loop, which may use an FMA."""
+    a_s = segs[:, 0]
+    d_s = segs[:, 1] - a_s
+    dd_s = (d_s * d_s.conjugate()).real
+    best = np.full(pos.shape, np.inf)
+    for a, d, dd in zip(a_s, d_s, dd_s):
+        t = ((pos - a) * d.conjugate()).real / dd
+        np.clip(t, 0.0, 1.0, out=t)
+        np.minimum(best, np.abs(pos - (a + t * d)), out=best)
+    return best
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
@@ -170,12 +181,14 @@ def estimate_harmonic_measure(
         absorbed = rad < shell
         if absorbed.any():
             hits += int(np.sum(d_circ[absorbed] < d_path[absorbed]))
-            live = ~absorbed
-            walks, pos, rad = walks[live], pos[live], rad[live]
+            idx = np.flatnonzero(~absorbed)
+            walks = walks.take(idx)
             if walks.size == 0:
                 break
+            pos, rad = pos.take(idx), rad.take(idx)
             if lane:
-                block = block[:, live]
+                block = block.take(idx, axis=1)
+            del idx  # 8 bytes a walk, not to be held through the Philox kernel
         if lane == 0:
             block = _philox_angles(step // 4 + 1, cfg.seed, walks)
         pos = pos + rad * np.exp(1j * block[lane])

@@ -64,6 +64,38 @@ def test_parse_radii_non_finite():
             parse_radii(bad)
 
 
+def accumulated_grid(a, b, step):
+    """The a:b:step grid as parse_radii used to build it, by adding step."""
+    out = []
+    r = a
+    while r <= b * (1 + 1e-12):
+        out.append(round(r, 12))
+        r += step
+    return out
+
+
+GRIDS = ["5:30:1", "2:5:0.5", "1:3:0.5", "0:1:0.1", "3:3:1", "1:1.05:0.1", "0.001:0.5:0.01"] + [
+    "%r:%r:%r" % (a, a + m * step, step)
+    for a in (0.0, 0.1, 1.0, 2.0, 7.3, 10.0)
+    for step in (0.05, 0.1, 0.25, 0.3, 0.7, 1.0, 2.5, 1 / 3)
+    for m in (0, 1, 7, 25)
+]
+
+
+def test_parse_radii_grid_matches_accumulated_loop():
+    for text in GRIDS:
+        a, b, step = map(float, text.split(":"))
+        assert parse_radii(text) == accumulated_grid(a, b, step), text
+
+
+def test_parse_radii_tiny_step():
+    # r += 1 never moves r = 1e17, so the grid used to grow without end
+    assert parse_radii("1e17:1e17:1") == [1e17]
+    # counted points do not drift where accumulated ones did (112.666666666666)
+    grid = parse_radii("100:113:0.3333333333333333")
+    assert len(grid) == 40 and grid[-2] == 112.666666666667
+
+
 # --- subcommands -----------------------------------------------------------
 
 def test_construct_writes_spec_and_manifest(tmp_path, capsys):

@@ -142,6 +142,44 @@ def test_philox_kernel_matches_numpy_stream(seed):
         assert got[:, col].tobytes() == want.tobytes()
 
 
+# --- the distance kernel ------------------------------------------------------
+
+def broadcast_path_distance(pos, segs):
+    """The (points × segments) broadcast form of _path_distance: a
+    reference for its bits."""
+    a = segs[:, 0][None, :]
+    d = (segs[:, 1] - segs[:, 0])[None, :]
+    p = pos[:, None]
+    t = ((p - a) * d.conjugate()).real / (d * d.conjugate()).real
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.abs(p - (a + t * d)).min(axis=1)
+
+
+@pytest.mark.parametrize(
+    "segs",
+    [
+        pytest.param(_boundary_segments(make_random_system(s), j, 8.0), id="random%d-D%d" % (s, j))
+        for s in (0, 17, 1003)
+        for j in (1, 2)
+    ]
+    + [
+        pytest.param(_boundary_segments(PathSystem.equally_spaced_rays(n), 1, 8.0), id="rays%d" % n)
+        for n in (2, 3, 5)
+    ]
+    + [pytest.param(_boundary_segments(QSYS, 1, 8.0), id="quarter")],
+)
+def test_path_distance_matches_broadcast_bits(segs):
+    assert segs.shape[1] == 2 and segs.shape[0] in (2, 4)
+    rng = np.random.default_rng(segs.shape[0])
+    random_pts = rng.uniform(-9.0, 9.0, 5001) + 1j * rng.uniform(-9.0, 9.0, 5001)
+    a, b = segs[:, 0], segs[:, 1]
+    t = np.linspace(0.0, 1.0, 33)
+    on_segments = (a[:, None] + t[None, :] * (b - a)[:, None]).ravel()
+    for pos in (random_pts, on_segments, np.concatenate([a, b]), np.array([0.3 + 0.2j])):
+        assert _path_distance(pos, segs).tobytes() == broadcast_path_distance(pos, segs).tobytes()
+    assert np.all(_path_distance(a, segs) == 0.0)
+
+
 def reference_estimate(sys, j, R, z1, cfg):
     """Walk-on-spheres with one numpy Generator(Philox(key=[seed, i])) per
     walk and 64 draws buffered per walk: a reference for the array
