@@ -15,6 +15,14 @@ Philox4x64-10 applied to the counter (k//4 + 1, 0, 0, 0) under the key
 (seed, i), turned into an angle as ``Generator.uniform(0, 2π)`` does,
 0.0 + 2π·((x >> 11)·2⁻⁵³).  That is draw k of
 ``Generator(Philox(key=[seed, i])).uniform(0, 2π)``, bit for bit.
+
+The kernel runs its rounds over consecutive slices of at most _BLOCK live
+walks.  A round keeps about a dozen uint64 temporaries alive; over 100 000
+walks at once each takes 800 KB and together they spill out of L2, while a
+slice of 16 384 walks needs 128 KB each and stays inside a 2 MB L2.  The
+words are exact integer arithmetic, so the slicing never changes a bit.
+Each round turns only the lane in use into angles, so the draws of walks
+absorbed before their lane comes up are never converted.
 """
 
 from __future__ import annotations
@@ -27,18 +35,24 @@ import numpy as np
 
 from .geometry import PathSystem, point_in_domain
 
-# Philox4x64-10 constants (Random123).  Every operand of the kernel is an
-# np.uint64 array or scalar, so uint64 arithmetic wraps modulo 2**64 and
-# no Python int takes part in a promotion, under numpy 1.x and 2.x alike.
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+# Philox4x64-10 constants (Random123), as Python ints.  Every array operand
+# of the kernel is an np.uint64 array or scalar, so uint64 arithmetic wraps
+# modulo 2**64 and no Python int takes part in a promotion, under numpy 1.x
+# and 2.x alike; scalar words are reduced modulo 2**64 as Python ints first.
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
+_MASK64 = 2**64 - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U11 = np.uint64(11)
 _U32 = np.uint64(32)
 _TWO_PI = 2.0 * math.pi
+# Walks per kernel slice, chosen by measurement: the dozen uint64 temporaries
+# of a slice, 128 KB each, fit a 2 MB L2 cache together.
+_BLOCK = 16384
+_MAX_WALKS = 10**7  # largest n_walks: the walk arrays peak near 1.3 GB there
 
 
 class StartOutsideDomainError(ValueError):
@@ -53,8 +67,8 @@ class WosConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_walks < 1:
-            raise ValueError("n_walks must be >= 1")
+        if not 1 <= self.n_walks <= _MAX_WALKS:
+            raise ValueError("n_walks must lie in [1, %d]" % _MAX_WALKS)
         if not 0.0 < self.eps_shell < 0.01:
             raise ValueError("eps_shell must lie in (0, 0.01)")
         if self.max_steps < 100:
@@ -108,33 +122,70 @@ def _path_distance(pos: np.ndarray, segs: np.ndarray) -> np.ndarray:
     return best
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
-    """High and low 64-bit words of the 128-bit products m·x, from the
-    four 32×32-bit partial products."""
-    m_lo, m_hi = m & _LOW32, m >> _U32
-    x_lo, x_hi = x & _LOW32, x >> _U32
-    lh = m_lo * x_hi
-    hl = m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _U32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = m_hi * x_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
-    return hi, m * x
+def _mulhi(m: int, x: np.ndarray) -> np.ndarray:
+    """High 64-bit words of the 128-bit products m·x, by a carry chain over
+    the 32-bit halves in which every partial sum stays below 2**64."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    lo = x & _LOW32
+    hi = x >> _U32
+    t = lo * m_hi
+    lo *= m_lo
+    lo >>= _U32
+    t += lo  # m_hi·x_lo + ⌊m_lo·x_lo / 2**32⌋ < 2**64
+    np.multiply(hi, m_lo, out=lo)
+    hi *= m_hi
+    lo += t & _LOW32  # m_lo·x_hi + (t mod 2**32) < 2**64
+    t >>= _U32
+    hi += t
+    lo >>= _U32
+    hi += lo
+    return hi
 
 
-def _philox_angles(counter: int, seed: int, walks: np.ndarray) -> np.ndarray:
-    """Draws 4(counter−1) … 4·counter−1 of each walk's stream as angles in
-    [0, 2π): a (4, len(walks)) array whose row k is lane k of
-    Philox4x64-10 at counter (counter, 0, 0, 0) under key (seed, walk)."""
-    x0 = np.full(walks.shape, np.uint64(counter))
-    x1 = x2 = x3 = np.zeros_like(x0)
-    for r in range(_PHILOX_ROUNDS):
-        # round r uses the key bumped r times by the Weyl constants
-        k0 = np.uint64((int(seed) + r * _PHILOX_W0) % 2**64)
-        k1 = walks + np.uint64(r * _PHILOX_W1 % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M0, x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    u = (np.stack([x0, x1, x2, x3]) >> _U11).astype(np.float64) * 2.0**-53
-    return _TWO_PI * u  # numpy's 0.0 + 2π·u; adding 0.0 to u >= 0 is exact
+def _philox_words(counter: int, seed: int, walks: np.ndarray) -> np.ndarray:
+    """Draws 4(counter−1) … 4·counter−1 of each walk's stream as raw words:
+    a (4, len(walks)) uint64 array whose row k is lane k of Philox4x64-10
+    at counter (counter, 0, 0, 0) under key (seed, walk).
+
+    Round 0 and the word-0 product of round 1 depend only on the counter
+    and the seed, so they stay Python ints: round 0 maps (counter, 0, 0, 0)
+    to (seed, 0, hi(M0·counter) ^ walk, lo(M0·counter)).  The array rounds
+    run over slices of at most _BLOCK walks, one slice after another."""
+    seed = int(seed)
+    out = np.empty((4, walks.size), dtype=np.uint64)
+    c_hi, c_lo = divmod(_PHILOX_M0 * counter, 2**64)
+    s_hi, s_lo = divmod(_PHILOX_M0 * seed, 2**64)
+    m0, m1, w1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1), np.uint64(_PHILOX_W1)
+    for start in range(0, walks.size, _BLOCK):
+        w = walks[start:start + _BLOCK]
+        # round 1, under key (seed + W0, walk + W1)
+        x2 = w ^ np.uint64(c_hi)
+        x0 = _mulhi(_PHILOX_M1, x2)
+        x0 ^= np.uint64((seed + _PHILOX_W0) & _MASK64)
+        x1 = x2 * m1
+        k1 = w + w1
+        x2 = k1 ^ np.uint64(s_hi ^ c_lo)
+        x3 = np.uint64(s_lo)
+        for r in range(2, _PHILOX_ROUNDS):
+            # round r uses the key bumped r times by the Weyl constants
+            k1 += w1
+            hi0 = _mulhi(_PHILOX_M0, x0)
+            hi0 ^= x3
+            hi0 ^= k1
+            hi1 = _mulhi(_PHILOX_M1, x2)
+            hi1 ^= x1
+            hi1 ^= np.uint64((seed + r * _PHILOX_W0) & _MASK64)
+            x0 *= m0
+            x2 *= m1
+            x0, x1, x2, x3 = hi1, x2, hi0, x0
+        out[:, start:start + _BLOCK] = (x0, x1, x2, x3)
+    return out
+
+
+def _angles(words: np.ndarray) -> np.ndarray:
+    """Raw words as angles in [0, 2π), as ``Generator.uniform(0, 2π)`` turns
+    them: 0.0 + 2π·((x >> 11)·2⁻⁵³), where adding 0.0 to u >= 0 is exact."""
+    return _TWO_PI * ((words >> _U11).astype(np.float64) * 2.0**-53)
 
 
 def estimate_harmonic_measure(
@@ -190,8 +241,8 @@ def estimate_harmonic_measure(
                 block = block.take(idx, axis=1)
             del idx  # 8 bytes a walk, not to be held through the Philox kernel
         if lane == 0:
-            block = _philox_angles(step // 4 + 1, cfg.seed, walks)
-        pos = pos + rad * np.exp(1j * block[lane])
+            block = _philox_words(step // 4 + 1, cfg.seed, walks)
+        pos = pos + rad * np.exp(1j * _angles(block[lane]))
     truncated = int(walks.size)
     omega_hat = hits / n
     ci = 1.96 * math.sqrt(omega_hat * (1.0 - omega_hat) / n)

@@ -215,6 +215,16 @@ def test_domain_wos_seed_out_of_range_exit_2(tmp_path, capsys, seed):
     assert "seed must lie in [0, 2**63)" in capsys.readouterr().err
 
 
+def test_domain_wos_too_many_walks_exit_2(tmp_path, capsys):
+    rc = run(
+        tmp_path, "domain", "--rays", "2", "--R1", "1", "--R", "8",
+        "--radii", "2", "--wos", "--z1=-2i", "--walks", "100000000000",
+        "--out", "d.json", "--slices-out", "s.csv",
+    )
+    assert rc == 2
+    assert "n_walks must lie in [1, 10000000]" in capsys.readouterr().err
+
+
 def test_check_filter_and_exit(tmp_path, capsys):
     rc = run(tmp_path, "check", "--filter", "carleman")
     assert rc == 0

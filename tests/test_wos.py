@@ -1,10 +1,12 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from asymlab import wos
 from asymlab.geometry import PathSystem, SegmentalPath, carleman_integral
 from asymlab.wos import (
     StartOutsideDomainError,
@@ -12,7 +14,8 @@ from asymlab.wos import (
     WosEstimate,
     _boundary_segments,
     _path_distance,
-    _philox_angles,
+    _angles,
+    _philox_words,
     estimate_harmonic_measure,
 )
 
@@ -53,6 +56,11 @@ def test_config_validation():
         with pytest.raises(ValueError):
             WosConfig(10, seed=seed)
     assert WosConfig(10, seed=2**63 - 1).seed == 2**63 - 1
+    # a walk count past 10**7 used to fail in numpy's allocator instead
+    for n_walks in (10**7 + 1, 10**11):
+        with pytest.raises(ValueError, match="n_walks"):
+            WosConfig(n_walks)
+    assert WosConfig(10**7).n_walks == 10**7
 
 
 def test_start_outside_raises():
@@ -135,11 +143,39 @@ def test_dominated_by_carleman_on_random_system():
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 3, 2**63 - 1])
 def test_philox_kernel_matches_numpy_stream(seed):
     walks = np.array([0, 1, 63, 64, 2**32 + 1], dtype=np.uint64)
-    got = np.concatenate([_philox_angles(c, seed, walks) for c in range(1, 17)])
+    got = np.concatenate([_angles(_philox_words(c, seed, walks)) for c in range(1, 17)])
     assert got.shape == (64, walks.size)
     for col, i in enumerate(walks.tolist()):
         want = Generator(Philox(key=[seed, i])).uniform(0.0, 2.0 * math.pi, 64)
         assert got[:, col].tobytes() == want.tobytes()
+
+
+# seed + W0 wraps past 2**64 in the first key bump
+WRAP_SEED = 2**64 - wos._PHILOX_W0 + 12345
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 2**63 - 1, WRAP_SEED])
+@pytest.mark.parametrize("counter", [1, 2, 25_001, 2**32 + 1])
+def test_philox_kernel_block_edges(seed, counter):
+    """Two full kernel slices and a partial one, over increasing walk
+    indices with gaps, as after absorptions, that cross 2**32.  Counter
+    25 001 is one past the last that the default 100 000-step cap uses."""
+    B = wos._BLOCK
+    gaps = np.random.default_rng(counter).integers(1, 2**18, 2 * B + 7, dtype=np.uint64)
+    walks = np.uint64(2**31) + np.cumsum(gaps, dtype=np.uint64)  # near 2**32 at walks[B]
+    assert walks[0] < 2**32 < walks[-1]
+    words = _philox_words(counter, seed, walks)
+    angles = _angles(words)
+    assert words.shape == angles.shape == (4, walks.size)
+    for col in sorted({0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 6}):
+        bits = Philox(key=[seed, int(walks[col])])
+        bits.advance(counter - 1)
+        assert words[:, col].tobytes() == bits.random_raw(4).tobytes()
+        bits = Philox(key=[seed, int(walks[col])])
+        bits.advance(counter - 1)
+        want = Generator(bits).uniform(0.0, 2.0 * math.pi, 4)
+        assert angles[:, col].tobytes() == want.tobytes()
 
 
 # --- the distance kernel ------------------------------------------------------
@@ -246,6 +282,50 @@ def test_matches_per_walk_generator_reference(kinked, cfg):
     if cfg.max_steps == 100:
         assert got.truncated_walks > 0
         assert "walks hit the step cap" in got.warning
+
+
+@pytest.mark.parametrize(
+    "kinked, cfg",
+    [
+        (False, WosConfig(3000, eps_shell=1e-9, seed=21)),
+        (True, WosConfig(3000, eps_shell=1e-9, seed=1003)),
+        (False, WosConfig(2000, eps_shell=1e-20, max_steps=100, seed=1)),
+    ],
+    ids=["quarter", "kinked", "step-cap"],
+)
+def test_kernel_slice_size_never_changes_estimate(monkeypatch, kinked, cfg):
+    sysm, z1 = QSYS, 0.5 * cmath.exp(1j * math.pi / 4)
+    if kinked:
+        sysm = make_random_system(1003)
+        z1 = domain_probe_point(sysm, 1, 1.0)
+    want = estimate_harmonic_measure(sysm, 1, 8.0, z1, cfg)
+    sizes = []
+
+    def spy(counter, seed, walks):
+        sizes.append(walks.size)
+        return _philox_words(counter, seed, walks)
+
+    monkeypatch.setattr(wos, "_BLOCK", 64)
+    monkeypatch.setattr(wos, "_philox_words", spy)
+    got = estimate_harmonic_measure(sysm, 1, 8.0, z1, cfg)
+    assert repr(got) == repr(want)
+    assert sum(size > 64 for size in sizes) >= 3  # several multi-slice calls
+    if cfg.max_steps == 100:
+        assert got.truncated_walks > 64
+
+
+def test_peak_memory_of_large_estimate():
+    """Traced peak of a 100k-walk estimate: 12.91 MB measured with numpy
+    2.4 (129 bytes a walk), bounded at 14 MB, below the 18.0 MB that the
+    Philox kernel takes over all live walks at once."""
+    z1 = 3.0 * cmath.exp(1j * 0.6)
+    tracemalloc.start()
+    try:
+        estimate_harmonic_measure(QSYS, 1, 8.0, z1, WosConfig(100_000, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
 
 
 # --- closed-form sectors ------------------------------------------------------
