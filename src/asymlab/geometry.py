@@ -2,10 +2,12 @@
 and the harmonic-measure/growth bound formulas attached to them.
 
 All geometry stays on polyline data.  Angular measures are read off the
-directions in which the two bounding paths cross a circle; the Carleman
-integral is split at the radii where that measure is not smooth.  Point
-membership closes the two bounding paths with a far circular arc and takes
-a winding number.
+directions in which the two bounding paths cross a circle.  Between two
+consecutive critical radii, or radii where the two paths meet, the
+crossings keep their order, so the measure is a sum of arguments of the
+crossings' segment parameters in closed form; the Carleman integral
+integrates that form on each such interval.  Point membership closes the
+two bounding paths with a far circular arc and takes a winding number.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from .logcx import wrap_angle
 from .quadrature import integrate_segment
 
 TWO_PI = 2.0 * math.pi
-_DEGEN_EPS = 1e-12
 # circle_crossing_angles raises exactly within _DEGEN_EPS * max(t, 1) of a
-# critical radius; Carleman quadrature keeps at least ten times that
-# distance from each one
-_CLEARANCE = 10 * _DEGEN_EPS
+# critical radius
+_DEGEN_EPS = 1e-12
 
 
 class DegenerateRadiusError(RuntimeError):
@@ -130,7 +130,10 @@ class SegmentalPath:
                 "circle of radius %g passes a vertex of the path or touches it" % t
             )
         angles = []
-        for a, b in self.elements(t):
+        els = self.elements(t)
+        ray = els[-1]
+        for e in els:
+            a, b = e
             d = b - a
             qa = abs(d) ** 2
             qb = 2.0 * (a * d.conjugate()).real
@@ -138,9 +141,11 @@ class SegmentalPath:
             if disc <= 0.0:
                 continue
             root = math.sqrt(disc)
-            # the smaller root enters the disk, the larger one leaves it
+            # the smaller root enters the disk, the larger one leaves it; the
+            # terminal ray has no far end (past t = 1e16 the root on its
+            # truncated element rounds to s = 1)
             for s, outward in (((-qb - root) / (2 * qa), False), ((-qb + root) / (2 * qa), True)):
-                if 0.0 < s < 1.0:
+                if 0.0 < s and (s < 1.0 or e is ray):
                     angles.append((wrap_angle(cmath.phase(a + s * d)), outward))
         return angles
 
@@ -149,14 +154,9 @@ class SegmentalPath:
         for i in range(len(els)):
             for k in range(i + 1, len(els)):
                 pts = _intersect_elements(els[i], els[k])
-                if not pts:
-                    continue
-                if k == i + 1:
-                    # adjacent elements share exactly one endpoint
-                    shared = els[i][1]
-                    if all(abs(p - shared) < 1e-12 for p in pts):
-                        continue
-                return False
+                # adjacent elements share exactly one endpoint
+                if pts and not (k == i + 1 and all(abs(p - els[i][1]) < 1e-12 for p in pts)):
+                    return False
         return True
 
 
@@ -203,17 +203,12 @@ class PathSystem:
         return max(p.max_vertex_radius for p in self.paths)
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": "pathsystem/1",
-            "paths": [
-                {
-                    "vertices": [[v.real, v.imag] for v in p.vertices],
-                    "terminal_direction": p.terminal_angle,
-                    "label": lab,
-                }
-                for p, lab in zip(self.paths, self.labels)
-            ],
-        }
+        paths = [
+            {"vertices": [[v.real, v.imag] for v in p.vertices],
+             "terminal_direction": p.terminal_angle, "label": lab}
+            for p, lab in zip(self.paths, self.labels)
+        ]
+        return {"format": "pathsystem/1", "paths": paths}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -225,9 +220,7 @@ class PathSystem:
         paths, labels = [], []
         for entry in d["paths"]:
             vs = [complex(re, im) for re, im in entry["vertices"]]
-            paths.append(
-                SegmentalPath(vs, cmath.exp(1j * float(entry["terminal_direction"])))
-            )
+            paths.append(SegmentalPath(vs, cmath.exp(1j * float(entry["terminal_direction"]))))
             labels.append(entry.get("label", "a%d" % (len(labels) + 1)))
         return PathSystem(tuple(paths), tuple(labels))
 
@@ -239,9 +232,7 @@ class PathSystem:
     def equally_spaced_rays(n: int, labels=None, base_angle: float | None = None) -> "PathSystem":
         if base_angle is None:
             base_angle = TWO_PI / n
-        paths = tuple(
-            SegmentalPath.ray(wrap_angle(base_angle + TWO_PI * k / n)) for k in range(n)
-        )
+        paths = (SegmentalPath.ray(wrap_angle(base_angle + TWO_PI * k / n)) for k in range(n))
         return PathSystem(paths, labels)
 
 
@@ -347,67 +338,98 @@ def angular_measure(sys: PathSystem, j: int, t: float) -> AngularSlice:
     return AngularSlice(t, tuple(arcs), total)
 
 
+def _phi_near(sys: PathSystem, j: int, t0: float):
+    """Phi_j(t0), and the change of Phi_j from t0 as a function on arrays of
+    radii, exact while the crossings with |z| = t keep their order at t0: a
+    crossing on the element a + s d lies at angle arg d + arg(a/d + s), with
+    s(t) a root of |a + s d| = t (clamped at a tangency), and s is real, so
+    the second term never wraps.  An inside arc adds its end angle and
+    subtracts its start angle."""
+    phi0 = angular_measure(sys, j, t0).phi
+    g1, g2 = sys.domain_boundary(j)
+    if g2 is g1:
+        return phi0, lambda ts: 0.0 * np.asarray(ts)
+    # every element once per root, the terminal ray last with a unit d; a
+    # crossing starts an inside arc where it leaves the disk along path j or
+    # enters it along path j+1, as in angular_measure
+    paths, sizes = (g1, g1, g2, g2), [len(g.vertices) for g in (g1, g1, g2, g2)]
+    a = np.concatenate([g.vertices for g in paths])
+    d = np.concatenate([np.append(np.diff(g.vertices), g.terminal_direction) for g in paths])
+    sign = np.repeat([-1.0, 1.0, -1.0, 1.0], sizes)
+    starts = sign * np.repeat([1.0, 1.0, -1.0, -1.0], sizes) > 0
+    qa, qb, aa = (d * d.conj()).real, 2.0 * (a * d.conj()).real, (a * a.conj()).real
+
+    def roots(t):  # reads the arrays of the crossings kept below
+        disc = qb * qb - 4.0 * qa * (aa - t * t)
+        return (-qb + sign * np.sqrt(np.maximum(disc, 0.0))) / (2.0 * qa), disc
+
+    s0, disc0 = roots(t0)
+    s_max = np.concatenate([[1.0] * (k - 1) + [math.inf] for k in sizes])
+    live = np.flatnonzero((disc0 > 0.0) & (s0 > 0.0) & (s0 < s_max))
+    live = live[np.argsort(np.angle(a + s0 * d)[live])]
+    sigma = np.roll(starts[live], 1).astype(float) - starts[live]
+    p, sign, qa, qb, aa, s0 = (x[live] for x in (a / d, sign, qa, qb, aa, s0))
+    arg0 = np.angle(p + s0)
+    return phi0, lambda ts: (np.angle(p + roots(np.asarray(ts, float)[..., None])[0]) - arg0) @ sigma
+
+
+def _smooth_intervals(sys: PathSystem, j: int, R: float) -> list:
+    """[lo, hi, t0] triples covering [0, R], cut at the critical radii of the
+    paths bounding domain j and at the moduli of their meeting points, where
+    the crossings with |z| = t change order.  An interval no longer than four
+    windows _DEGEN_EPS * max(t, 1) joins the one before it, whose midpoint
+    t0 is kept, so no t0 is a degenerate radius."""
+    g1, g2 = sys.domain_boundary(j)
+    pairs = ((e1, e2) for e1 in g1.elements(R) for e2 in g2.elements(R))
+    radii = {*g1._critical, *g2._critical}
+    radii.update(abs(z) for e1, e2 in pairs for z in _intersect_elements(e1, e2))
+    knots = sorted({0.0, R, *(r for r in radii if 0.0 < r < R)})
+    out = []
+    for lo, hi in zip(knots, knots[1:]):
+        if not out or hi - lo > 4.0 * _DEGEN_EPS * max(hi, 1.0):
+            out.append([lo, hi, 0.5 * (lo + hi)])
+        else:
+            out[-1][1] = hi
+    return out
+
+
 def carleman_integral(
     sys: PathSystem, j: int, R1: float, R: float, tol: float = 1e-10
 ) -> float:
     """Integral of 1/(t * Phi_j(t)) over [R1, R].
 
-    Phi_j is smooth between the critical radii of the two bounding paths.
-    Each critical radius r gets a band of half-width w = _CLEARANCE *
-    max(r, 1, longest segment); bands that overlap are merged.  The gaps
-    between bands are integrated adaptively with tol prorated by length, so
-    no quadrature node lies within w of a critical radius and none meets a
-    degenerate circle.  The part of a band inside [R1, R] counts as its
-    width times the integrand at the band's upper edge; Phi is continuous
-    and at worst square-root-like there, so that errs by O(width^1.5).
+    On each of the _smooth_intervals, Phi_j is in closed form from one
+    angular_measure call at t0 (_phi_near).  In x = ln t the integrand is
+    1/Phi_j, so the interval's part [a, b] of [R1, R] gives ln(b/a)/Phi_j(t0)
+    plus the integral of 1/Phi_j - 1/Phi_j(t0), exactly 0 where Phi_j is
+    constant.  That is taken in u, x = ln a + ln(b/a) u^2 (3 - 2u), which
+    smooths the square-root behaviour of Phi_j at a tangency, with tol
+    prorated by ln(b/a) / ln(R/R1).  Raises EmptySliceError where Phi_j is
+    within _DEGEN_EPS of 0 at an end of a part, as where the two paths meet
+    and close the domain, so the integral diverges.
     """
     if not 0 < R1 <= R:
         raise ValueError("need 0 < R1 <= R")
     if R1 == R:
         return 0.0
-
-    def integrand(ts):
-        ts = np.atleast_1d(ts)
-        out = np.empty(ts.shape, dtype=float)
-        for i, tv in enumerate(ts):
-            t = float(np.real(tv))
-            phi = angular_measure(sys, j, t).phi
-            if phi <= 0:
-                raise EmptySliceError("domain %d misses the circle at t=%g" % (j, t))
-            out[i] = 1.0 / (t * phi)
-        return out
-
-    g1, g2 = sys.domain_boundary(j)
-    seg = max((abs(b - a) for g in (g1, g2) for a, b in g.segments()), default=0.0)
-    crit = sorted({r for g in (g1, g2) for r in g.critical_radii()})
-    bands = []
-    for r in crit:
-        w = _CLEARANCE * max(r, 1.0, seg)
-        if bands and r - w <= bands[-1][1]:
-            bands[-1][1] = r + w
-        else:
-            bands.append([r - w, r + w])
     total = 0.0
-    a = R1
-    for lo, hi in [*bands, [R, R]]:
-        b = min(lo, R)
-        if b > a:
-            piece_tol = tol * ((b - a) / (R - R1))
-            if crit:
-                # Phi can behave like sqrt(t - r) past a critical radius r;
-                # the substitution t = a + (b - a) u^2 (3 - 2u) makes that
-                # smooth, so the quadrature never refines toward the ends
-                def piece(us, a=a, b=b):
-                    ts = a + (b - a) * us * us * (3 - 2 * us)
-                    return integrand(ts) * (b - a) * 6 * us * (1 - us)
+    tol_per_log = tol / math.log(R / R1)
+    for lo, hi, t0 in _smooth_intervals(sys, j, R):
+        a, b = max(lo, R1), min(hi, R)
+        if a >= b:
+            continue
+        phi0, change = _phi_near(sys, j, t0)
+        ends = phi0 + change(np.array([a, b]))
+        if ends.min() <= _DEGEN_EPS:
+            raise EmptySliceError("domain %d misses the circle at t=%g" % (j, (a, b)[ends.argmin()]))
+        x0, span = math.log(a), math.log(b / a)
 
-                total += integrate_segment(piece, 0.0, 1.0, piece_tol).value.real
-            else:
-                total += integrate_segment(integrand, a, b, piece_tol).value.real
-        top = min(hi, R)
-        if top > max(lo, a):
-            total += (top - max(lo, a)) * integrand(hi)[0]
-        a = max(a, top)
+        def piece(us):
+            u = us.real
+            dphi = change(np.exp(x0 + span * u * u * (3.0 - 2.0 * u)))
+            return -span * 6.0 * u * (1.0 - u) * dphi / (phi0 * (phi0 + dphi))
+
+        total += span / phi0 + integrate_segment(piece, 0.0, 1.0, tol_per_log * span).value.real
     return float(total)
 
 
@@ -426,39 +448,27 @@ def carleman_report(
     om0 = (8.0 / math.pi) * math.exp(-math.pi * integral)
     # the two bounds are exact reciprocals; nudge within one ulp so the
     # stored floats multiply to exactly 1
-    omega_bound = logm_lower = None
-    for om in (om0, math.nextafter(om0, math.inf), math.nextafter(om0, 0.0)):
-        for lm in (1.0 / om, math.nextafter(1.0 / om, math.inf), math.nextafter(1.0 / om, 0.0)):
-            if om * lm == 1.0:
-                omega_bound, logm_lower = om, lm
-                break
-        if omega_bound is not None:
-            break
-    if omega_bound is None:  # pragma: no cover - not reachable in practice
-        omega_bound, logm_lower = om0, 1.0 / om0
-    return CarlemanReport(
-        R1=R1,
-        R=R,
-        integral_I=integral,
-        omega_bound=omega_bound,
-        logM_lower=logm_lower,
-        kappa=kp.kappa,
-        kappa1=kp.kappa1,
-        kappa2=kp.kappa2,
+    def near(x):
+        return x, math.nextafter(x, math.inf), math.nextafter(x, 0.0)
+
+    omega_bound, logm_lower = next(
+        ((om, lm) for om in near(om0) for lm in near(1.0 / om) if om * lm == 1.0),
+        (om0, 1.0 / om0),  # not reached in practice
     )
+    return CarlemanReport(R1=R1, R=R, integral_I=integral, omega_bound=omega_bound,
+                          logM_lower=logm_lower, kappa=kp.kappa, kappa1=kp.kappa1, kappa2=kp.kappa2)
 
 
 def check_sector_inequality(sys: PathSystem, t: float):
     """Cauchy-Schwarz bound sum_j 1/Phi_j(t) >= n^2 / (2 pi); returns
     (lhs, rhs, holds)."""
-    n = sys.n
     lhs = 0.0
-    for j in range(1, n + 1):
+    for j in range(1, sys.n + 1):
         phi = angular_measure(sys, j, t).phi
         if phi <= 0:
             raise EmptySliceError("domain %d misses the circle at t=%g" % (j, t))
         lhs += 1.0 / phi
-    rhs = n * n / TWO_PI
+    rhs = sys.n * sys.n / TWO_PI
     return lhs, rhs, lhs >= rhs * (1.0 - 1e-9)
 
 
@@ -508,12 +518,9 @@ def paths_intersect_beyond(p1: SegmentalPath, p2: SegmentalPath, disk_radius: fl
     reach = 4.0 * (disk_radius + p1.max_vertex_radius + p2.max_vertex_radius + 1.0)
     # parallel terminal rays never meet beyond any finite reach unless
     # collinear, which the overlap branch of the element test reports.
-    for e1 in p1.elements(reach):
-        for e2 in p2.elements(reach):
-            for pt in _intersect_elements(e1, e2):
-                if abs(pt) > disk_radius * (1.0 + 1e-12):
-                    return True
-    return False
+    pairs = ((e1, e2) for e1 in p1.elements(reach) for e2 in p2.elements(reach))
+    far = disk_radius * (1.0 + 1e-12)
+    return any(abs(pt) > far for e1, e2 in pairs for pt in _intersect_elements(e1, e2))
 
 
 def normalize_collection(paths, labels, disk_radius: float) -> PathSystem:
@@ -528,35 +535,28 @@ def normalize_collection(paths, labels, disk_radius: float) -> PathSystem:
     labels = [str(s) for s in labels]
     if len(paths) != len(labels):
         raise ValueError("one label per path")
-    # stage 1: far crossings
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(paths)):
-            for k in range(i + 1, len(paths)):
-                if paths_intersect_beyond(paths[i], paths[k], disk_radius):
-                    if labels[i] != labels[k]:
-                        raise LabelConflictError(
-                            "paths %d and %d cross beyond the disk with labels "
-                            "%r vs %r" % (i, k, labels[i], labels[k])
-                        )
-                    del paths[k], labels[k]
-                    changed = True
-                    break
-            if changed:
-                break
+    # stage 1: far crossings, the first crossing pair each time
+    while True:
+        n = len(paths)
+        i, k = next(((i, k) for i in range(n) for k in range(i + 1, n)
+                     if paths_intersect_beyond(paths[i], paths[k], disk_radius)), (None, None))
+        if i is None:
+            break
+        if labels[i] != labels[k]:
+            raise LabelConflictError(
+                "paths %d and %d cross beyond the disk with labels "
+                "%r vs %r" % (i, k, labels[i], labels[k])
+            )
+        del paths[k], labels[k]
     # counterclockwise order
     order = sorted(range(len(paths)), key=lambda i: paths[i].terminal_angle)
     paths = [paths[i] for i in order]
     labels = [labels[i] for i in order]
-    # stage 2: adjacent equal labels (cyclically)
-    changed = True
-    while changed and len(paths) > 1:
-        changed = False
-        for i in range(len(paths)):
-            k = (i + 1) % len(paths)
-            if labels[i] == labels[k]:
-                del paths[k], labels[k]
-                changed = True
-                break
+    # stage 2: adjacent equal labels (cyclically), the first pair each time
+    while len(paths) > 1:
+        n = len(paths)
+        i = next((i for i in range(n) if labels[i] == labels[(i + 1) % n]), None)
+        if i is None:
+            break
+        del paths[(i + 1) % n], labels[(i + 1) % n]
     return PathSystem(tuple(paths), tuple(labels))

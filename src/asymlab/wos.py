@@ -67,6 +67,11 @@ class WosConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # bool is an int subclass, and a float seed would be truncated
+        for name in ("n_walks", "max_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError("%s must be an integer, not %r" % (name, value))
         if not 1 <= self.n_walks <= _MAX_WALKS:
             raise ValueError("n_walks must lie in [1, %d]" % _MAX_WALKS)
         if not 0.0 < self.eps_shell < 0.01:

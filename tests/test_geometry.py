@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asymlab.geometry import (
     _DEGEN_EPS,
     DegenerateRadiusError,
+    EmptySliceError,
     KappaParams,
     LabelConflictError,
     PathSystem,
@@ -21,6 +22,7 @@ from asymlab.geometry import (
     normalize_collection,
     point_in_domain,
 )
+from asymlab.geometry import _intersect_elements, _phi_near, _smooth_intervals
 
 from conftest import make_random_system
 
@@ -141,6 +143,43 @@ def test_crossings_raise_exactly_at_critical_radii(path, pick, offset, log_t):
         assert outward.count(True) - outward.count(False) == 1
 
 
+_L_SYSTEM = PathSystem((SegmentalPath([0, 1, 1 + 10j], 1j), SegmentalPath.ray(math.pi)))
+# path 2's segment crosses the inward segment of path 1 near |z| = 2.7487: the
+# crossings swap order there, but no inside arc closes
+_SWAP = PathSystem((SegmentalPath([0, 3, 2 + 2j, 1j], -1), SegmentalPath([0, 4 + 1j], -1j)))
+
+
+@pytest.mark.parametrize("t", [1e16, 1e20, 1e30, 1e45, 1e60])
+def test_crossings_at_large_radii(t):
+    # on the truncated terminal ray the crossing sits at s = t/(t + |a| + 1),
+    # which rounds to 1.0 from t = 1e16 on; it used to be dropped there
+    systems = [PathSystem.equally_spaced_rays(n) for n in (1, 2, 3, 5)]
+    systems += [make_random_system(seed) for seed in range(6)] + [_L_SYSTEM]
+    for sysm in systems:
+        for path in sysm.paths:
+            assert [out for _, out in path.circle_crossing_angles(t)] == [True]
+        phis = [angular_measure(sysm, j, t).phi for j in range(1, sysm.n + 1)]
+        assert min(phis) > 0.0
+        assert abs(sum(phis) - 2.0 * math.pi) <= 1e-12
+
+
+def test_phi_closed_form_matches_angular_measure():
+    # one path that leaves |z| = 2 twice, and two paths whose crossings swap
+    # order where they meet
+    systems = [make_random_system(seed) for seed in range(12)] + [_L_SYSTEM, _SWAP]
+    systems.append(PathSystem((SegmentalPath([0, 3, 2 + 2j, 1j], -1),)))
+    worst = 0.0
+    for sysm in systems:
+        for j in range(1, sysm.n + 1):
+            for lo, hi, t0 in _smooth_intervals(sysm, j, 30.0):
+                phi0, change = _phi_near(sysm, j, t0)
+                # 20 points inside the interval between the two cuts around t0
+                ts = t0 + (t0 - lo) * np.linspace(-1.0, 1.0, 22)[1:-1]
+                want = np.array([angular_measure(sysm, j, t).phi for t in ts])
+                worst = max(worst, np.max(np.abs(phi0 + change(ts) - want)))
+    assert worst <= 1e-14
+
+
 def test_slices_sum_below_full_circle():
     for seed in range(5):
         sysm = make_random_system(seed)
@@ -213,6 +252,74 @@ def test_carleman_split_at_critical_radii():
     for j in (1, 2, 3):
         got = carleman_integral(rotated, j, 0.25, 12.0)
         assert abs(got - _composite_carleman(rotated, j, (0.25, 1.0, 12.0))) <= 1e-11
+
+
+_CARLEMAN_SYSTEMS = [make_random_system(seed) for seed in range(10)] + [_L_SYSTEM]
+_NEAR_CRITICAL = st.tuples(
+    st.integers(0, 63), st.one_of(st.just(0.0), st.floats(-1000.0, 1000.0)), st.floats(-1.0, 1.5)
+)
+
+
+@given(
+    k=st.integers(0, len(_CARLEMAN_SYSTEMS) - 1),
+    j=st.integers(1, 4),
+    picks=st.lists(_NEAR_CRITICAL, min_size=3, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_carleman_additive_near_critical_radii(k, j, picks):
+    # each of R1 < m < R is a critical radius of domain j's paths, within
+    # 1000 degenerate windows of one, or anywhere in [0.1, 30]
+    sysm = _CARLEMAN_SYSTEMS[k]
+    j = 1 + (j - 1) % sysm.n
+    crit = sorted({r for g in sysm.domain_boundary(j) for r in g.critical_radii()})
+    pts = []
+    for pick, offset, log_t in picks:
+        c = crit[pick % len(crit)]
+        pts.append(c + offset * _DEGEN_EPS * max(c, 1.0) if pick < 48 else 10.0**log_t)
+    R1, m, R = sorted(pts)
+    assume(R1 < m < R)
+    whole = carleman_integral(sysm, j, R1, R)
+    parts = carleman_integral(sysm, j, R1, m) + carleman_integral(sysm, j, m, R)
+    assert abs(parts - whole) <= 1e-13 * max(whole, 1.0)
+
+
+@pytest.mark.parametrize("ratio", [1e12, 1e15])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_carleman_rays_long_ranges(n, ratio):
+    # these ranges used to end in QuadratureNonconvergence
+    sysm = PathSystem.equally_spaced_rays(n)
+    for R1 in (0.5, 1.0, 3.0):
+        want = math.log(ratio) / (2.0 * math.pi / n)
+        assert carleman_integral(sysm, 1, R1, R1 * ratio) == pytest.approx(want, rel=1e-15)
+
+
+def _meeting_radii(sysm, j, R):
+    g1, g2 = sysm.domain_boundary(j)
+    pts = [z for e1 in g1.elements(R) for e2 in g2.elements(R) for z in _intersect_elements(e1, e2)]
+    return sorted({abs(z) for z in pts if 0.0 < abs(z) < R})
+
+
+def test_carleman_across_meeting_paths():
+    for j in (1, 2):
+        meet = _meeting_radii(_SWAP, j, 5.0)
+        assert meet == [pytest.approx(2.7487, abs=1e-4)]
+        crit = [r for g in _SWAP.domain_boundary(j) for r in g.critical_radii()]
+        knees = sorted({0.5, 5.0, *meet, *(r for r in crit if 0.5 < r < 5.0)})
+        got = carleman_integral(_SWAP, j, 0.5, 5.0)
+        assert abs(got - _composite_carleman(_SWAP, j, knees)) <= 1e-11
+    # path 1's terminal ray crosses the ray of path 2 near |z| = 2.2733 and
+    # closes the arc of each domain from one side: Phi_j reaches 0 there,
+    # and the integral across it diverges
+    pinch = PathSystem(
+        (SegmentalPath([0, 2 * cmath.exp(2j)], cmath.exp(0.5j)), SegmentalPath.ray(math.pi / 2))
+    )
+    for j in (1, 2):
+        assert _meeting_radii(pinch, j, 5.0) == [pytest.approx(2.2733, abs=1e-4)]
+        with pytest.raises(EmptySliceError):
+            carleman_integral(pinch, j, 0.5, 5.0)
+        for knees in ((0.5, 2.0, 2.2), (2.3, 5.0)):
+            got = carleman_integral(pinch, j, knees[0], knees[-1])
+            assert abs(got - _composite_carleman(pinch, j, knees)) <= 1e-11
 
 
 def test_carleman_monotone_in_R():

@@ -63,6 +63,28 @@ def test_config_validation():
     assert WosConfig(10**7).n_walks == 10**7
 
 
+@pytest.mark.parametrize("value", [2.5, 100.0, True, "100", None])
+def test_config_n_walks_must_be_integer(value):
+    # 2.5 used to pass and fail later inside np.full
+    with pytest.raises(ValueError, match="n_walks"):
+        WosConfig(value)
+
+
+@pytest.mark.parametrize("value", [1000.5, 1000.0, True])
+def test_config_max_steps_must_be_integer(value):
+    with pytest.raises(ValueError, match="max_steps"):
+        WosConfig(10, max_steps=value)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, False])
+def test_config_seed_must_be_integer(value):
+    # seed 1.5 used to run silently as seed 1
+    with pytest.raises(ValueError, match="seed"):
+        WosConfig(10, seed=value)
+    # numpy integers are integers
+    assert WosConfig(np.int64(10), seed=np.uint32(3)).seed == 3
+
+
 def test_start_outside_raises():
     with pytest.raises(StartOutsideDomainError):
         estimate_harmonic_measure(QSYS, 1, 4.0, -1 + 1j, WosConfig(100))
