@@ -29,6 +29,13 @@ TWO_PI = 2.0 * math.pi
 _DEGEN_EPS = 1e-12
 
 
+def _check_radius(name: str, t: float) -> None:
+    """ValueError naming t unless t > 0 and 2 t^2 is finite: a terminal ray's
+    crossing quadratic holds |d|^2 t^2, and |d|^2 may round an ulp above 1."""
+    if not (t > 0.0 and math.isfinite(2.0 * t * t)):
+        raise ValueError("%s %g is out of range: need t > 0 and 2 t^2 finite" % (name, t))
+
+
 class DegenerateRadiusError(RuntimeError):
     """Circle of this radius is tangent to a segment or hits a vertex."""
 
@@ -70,32 +77,21 @@ class SegmentalPath:
     def terminal_angle(self) -> float:
         return wrap_angle(cmath.phase(self.terminal_direction))
 
-    @property
-    def max_vertex_radius(self) -> float:
-        return max(abs(v) for v in self.vertices)
-
-    def segments(self) -> list:
-        return [
-            (self.vertices[i], self.vertices[i + 1])
-            for i in range(len(self.vertices) - 1)
-        ]
-
-    def elements(self, reach: float) -> list:
-        """Segments plus the terminal ray truncated where it leaves the
-        disk of radius `reach` (as a long segment)."""
-        out = self.segments()
-        a = self.vertices[-1]
-        length = reach + abs(a) + 1.0
-        out.append((a, a + length * self.terminal_direction))
-        return out
+    @cached_property
+    def _elements(self) -> tuple:
+        """The path as (a, d, s_max) triples, the points a + s d with
+        0 <= s <= s_max: each segment (v_i, v_{i+1} - v_i, 1.0), then the
+        terminal ray (v_last, unit direction, inf)."""
+        vs = self.vertices
+        segments = tuple((a, b - a, 1.0) for a, b in zip(vs, vs[1:]))
+        return segments + ((vs[-1], self.terminal_direction, math.inf),)
 
     def exit_point(self, radius: float) -> complex:
         """Point where the terminal ray crosses |z| = radius (requires the
         ray origin inside that circle)."""
-        a = self.vertices[-1]
+        a, u, _ = self._elements[-1]
         if abs(a) >= radius:
             raise ValueError("radius must exceed the last vertex radius")
-        u = self.terminal_direction
         b = (a * u.conjugate()).real
         s = -b + math.sqrt(b * b + radius**2 - abs(a) ** 2)
         return a + s * u
@@ -105,11 +101,9 @@ class SegmentalPath:
         turn non-smooth: vertex moduli, and each element's closest approach
         to 0 when it lies inside that segment or the terminal ray."""
         radii = {abs(v) for v in self.vertices[1:]}
-        # the truncated terminal ray reaches past its closest approach
-        for a, b in self.elements(0.0):
-            d = b - a
+        for a, d, s_max in self._elements:
             s = -(a * d.conjugate()).real / abs(d) ** 2
-            if 0.0 < s < 1.0:
+            if 0.0 < s < s_max:
                 radii.add(abs(a + s * d))
         return sorted(radii)
 
@@ -122,40 +116,35 @@ class SegmentalPath:
         pairs, outward being True where |z| increases along the path;
         raises DegenerateRadiusError exactly when t is within
         _DEGEN_EPS * max(t, 1) of one of critical_radii, where the circle
-        passes a vertex or touches the path."""
-        if t <= 0:
-            raise ValueError("radius must be positive")
+        passes a vertex or touches the path, and ValueError where
+        _check_radius does."""
+        _check_radius("radius", t)
         if any(abs(c - t) < _DEGEN_EPS * max(t, 1.0) for c in self._critical):
             raise DegenerateRadiusError(
                 "circle of radius %g passes a vertex of the path or touches it" % t
             )
         angles = []
-        els = self.elements(t)
-        ray = els[-1]
-        for e in els:
-            a, b = e
-            d = b - a
+        for a, d, s_max in self._elements:
+            # |a + s d| = t as qa s^2 + 2 hb s + (|a|^2 - t^2) = 0
             qa = abs(d) ** 2
-            qb = 2.0 * (a * d.conjugate()).real
-            disc = qb * qb - 4.0 * qa * (abs(a) ** 2 - t * t)
+            hb = (a * d.conjugate()).real
+            disc = hb * hb - qa * (abs(a) ** 2 - t * t)
             if disc <= 0.0:
                 continue
             root = math.sqrt(disc)
-            # the smaller root enters the disk, the larger one leaves it; the
-            # terminal ray has no far end (past t = 1e16 the root on its
-            # truncated element rounds to s = 1)
-            for s, outward in (((-qb - root) / (2 * qa), False), ((-qb + root) / (2 * qa), True)):
-                if 0.0 < s and (s < 1.0 or e is ray):
+            # the smaller root enters the disk, the larger one leaves it
+            for s, outward in (((-hb - root) / qa, False), ((-hb + root) / qa, True)):
+                if 0.0 < s < s_max:
                     angles.append((wrap_angle(cmath.phase(a + s * d)), outward))
         return angles
 
     def is_simple(self) -> bool:
-        els = self.elements(4.0 * self.max_vertex_radius + 8.0)
+        els = self._elements
         for i in range(len(els)):
             for k in range(i + 1, len(els)):
                 pts = _intersect_elements(els[i], els[k])
-                # adjacent elements share exactly one endpoint
-                if pts and not (k == i + 1 and all(abs(p - els[i][1]) < 1e-12 for p in pts)):
+                # adjacent elements share exactly one point, the start of the second
+                if pts and not (k == i + 1 and all(abs(p - els[k][0]) < 1e-12 for p in pts)):
                     return False
         return True
 
@@ -200,7 +189,7 @@ class PathSystem:
 
     @property
     def max_vertex_radius(self) -> float:
-        return max(p.max_vertex_radius for p in self.paths)
+        return max(abs(v) for p in self.paths for v in p.vertices)
 
     def to_json_dict(self) -> dict:
         paths = [
@@ -312,10 +301,10 @@ def angular_measure(sys: PathSystem, j: int, t: float) -> AngularSlice:
     Phi_j(t) is defined where the two bounding paths do not meet outside
     radius t, which normalize_collection guarantees beyond its disk.
     Raises DegenerateRadiusError where circle_crossing_angles does: when
-    |z| = t passes through a vertex of either path or touches one.
+    |z| = t passes through a vertex of either path or touches one, and
+    ValueError where _check_radius does.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    _check_radius("radius", t)
     g1, g2 = sys.domain_boundary(j)
     if g2 is g1:
         crossings = [(th, True) for th, _ in g1.circle_crossing_angles(t)]
@@ -349,26 +338,23 @@ def _phi_near(sys: PathSystem, j: int, t0: float):
     g1, g2 = sys.domain_boundary(j)
     if g2 is g1:
         return phi0, lambda ts: 0.0 * np.asarray(ts)
-    # every element once per root, the terminal ray last with a unit d; a
-    # crossing starts an inside arc where it leaves the disk along path j or
-    # enters it along path j+1, as in angular_measure
-    paths, sizes = (g1, g1, g2, g2), [len(g.vertices) for g in (g1, g1, g2, g2)]
-    a = np.concatenate([g.vertices for g in paths])
-    d = np.concatenate([np.append(np.diff(g.vertices), g.terminal_direction) for g in paths])
-    sign = np.repeat([-1.0, 1.0, -1.0, 1.0], sizes)
-    starts = sign * np.repeat([1.0, 1.0, -1.0, -1.0], sizes) > 0
-    qa, qb, aa = (d * d.conj()).real, 2.0 * (a * d.conj()).real, (a * a.conj()).real
+    # every element once per root; a crossing starts an inside arc where it
+    # leaves the disk along path j or enters it along path j+1, as in
+    # angular_measure
+    roles = ((g1, -1.0, False), (g1, 1.0, True), (g2, -1.0, True), (g2, 1.0, False))
+    rows = [(*e, sign, start) for g, sign, start in roles for e in g._elements]
+    a, d, s_max, sign, starts = (np.array(x) for x in zip(*rows))
+    qa, hb, aa = (d * d.conj()).real, (a * d.conj()).real, (a * a.conj()).real
 
     def roots(t):  # reads the arrays of the crossings kept below
-        disc = qb * qb - 4.0 * qa * (aa - t * t)
-        return (-qb + sign * np.sqrt(np.maximum(disc, 0.0))) / (2.0 * qa), disc
+        disc = hb * hb - qa * (aa - t * t)
+        return (-hb + sign * np.sqrt(np.maximum(disc, 0.0))) / qa, disc
 
     s0, disc0 = roots(t0)
-    s_max = np.concatenate([[1.0] * (k - 1) + [math.inf] for k in sizes])
     live = np.flatnonzero((disc0 > 0.0) & (s0 > 0.0) & (s0 < s_max))
     live = live[np.argsort(np.angle(a + s0 * d)[live])]
     sigma = np.roll(starts[live], 1).astype(float) - starts[live]
-    p, sign, qa, qb, aa, s0 = (x[live] for x in (a / d, sign, qa, qb, aa, s0))
+    p, sign, qa, hb, aa, s0 = (x[live] for x in (a / d, sign, qa, hb, aa, s0))
     arg0 = np.angle(p + s0)
     return phi0, lambda ts: (np.angle(p + roots(np.asarray(ts, float)[..., None])[0]) - arg0) @ sigma
 
@@ -380,7 +366,7 @@ def _smooth_intervals(sys: PathSystem, j: int, R: float) -> list:
     windows _DEGEN_EPS * max(t, 1) joins the one before it, whose midpoint
     t0 is kept, so no t0 is a degenerate radius."""
     g1, g2 = sys.domain_boundary(j)
-    pairs = ((e1, e2) for e1 in g1.elements(R) for e2 in g2.elements(R))
+    pairs = ((e1, e2) for e1 in g1._elements for e2 in g2._elements)
     radii = {*g1._critical, *g2._critical}
     radii.update(abs(z) for e1, e2 in pairs for z in _intersect_elements(e1, e2))
     knots = sorted({0.0, R, *(r for r in radii if 0.0 < r < R)})
@@ -402,14 +388,17 @@ def carleman_integral(
     angular_measure call at t0 (_phi_near).  In x = ln t the integrand is
     1/Phi_j, so the interval's part [a, b] of [R1, R] gives ln(b/a)/Phi_j(t0)
     plus the integral of 1/Phi_j - 1/Phi_j(t0), exactly 0 where Phi_j is
-    constant.  That is taken in u, x = ln a + ln(b/a) u^2 (3 - 2u), which
-    smooths the square-root behaviour of Phi_j at a tangency, with tol
-    prorated by ln(b/a) / ln(R/R1).  Raises EmptySliceError where Phi_j is
-    within _DEGEN_EPS of 0 at an end of a part, as where the two paths meet
-    and close the domain, so the integral diverges.
+    constant.  That is taken in u, x = ln lo + ln(hi/lo) u^2 (3 - 2u) on
+    u(a) <= u <= u(b), anchored at the interval's ends (at a where lo = 0)
+    to smooth the square-root behaviour of Phi_j at a tangency there even
+    for a part that starts just past it, with tol prorated by
+    ln(b/a) / ln(R/R1).  Raises EmptySliceError where Phi_j is within
+    _DEGEN_EPS of 0 at an end of a part, as where the two paths meet and
+    close the domain, so the integral diverges.
     """
     if not 0 < R1 <= R:
         raise ValueError("need 0 < R1 <= R")
+    _check_radius("R =", R)
     if R1 == R:
         return 0.0
     total = 0.0
@@ -422,14 +411,18 @@ def carleman_integral(
         ends = phi0 + change(np.array([a, b]))
         if ends.min() <= _DEGEN_EPS:
             raise EmptySliceError("domain %d misses the circle at t=%g" % (j, (a, b)[ends.argmin()]))
-        x0, span = math.log(a), math.log(b / a)
+        x0 = math.log(lo if lo > 0.0 else a)
+        span = math.log(hi) - x0
+        # u(t) solves u^2 (3 - 2u) = (ln t - x0) / span on [0, 1]
+        ua, ub = (0.5 + math.sin(math.asin(2.0 * (math.log(t) - x0) / span - 1.0) / 3.0) for t in (a, b))
 
         def piece(us):
             u = us.real
             dphi = change(np.exp(x0 + span * u * u * (3.0 - 2.0 * u)))
             return -span * 6.0 * u * (1.0 - u) * dphi / (phi0 * (phi0 + dphi))
 
-        total += span / phi0 + integrate_segment(piece, 0.0, 1.0, tol_per_log * span).value.real
+        part = math.log(b / a)
+        total += part / phi0 + integrate_segment(piece, ua, ub, tol_per_log * part).value.real
     return float(total)
 
 
@@ -485,12 +478,13 @@ def a0_constant(kappa1: float) -> float:
 # collection normalization
 
 def _intersect_elements(e1, e2, eps: float = 1e-12) -> list:
-    """Intersection points of two segments (complex endpoint pairs).
-    Collinear overlaps report both overlap endpoints."""
-    a, b = e1
-    c, d = e2
-    r = b - a
-    s = d - c
+    """Intersection points of two path elements (a, d, s_max), each the
+    points a + s d with 0 <= s <= s_max: a segment (s_max = 1) or a ray
+    (s_max = inf).  Collinear overlaps report both overlap endpoints; the
+    far end of an overlap along two rays is the point at infinity,
+    complex(inf)."""
+    a, r, m1 = e1
+    c, s, m2 = e2
     denom = (r.conjugate() * s).imag  # cross(r, s)
     qp = c - a
     if abs(denom) < eps * max(abs(r) * abs(s), 1e-30):
@@ -499,26 +493,23 @@ def _intersect_elements(e1, e2, eps: float = 1e-12) -> list:
         # collinear: project onto r
         rr = (r.conjugate() * r).real
         t0 = (qp.conjugate() * r).real / rr
-        t1 = t0 + (s.conjugate() * r).real / rr
-        lo, hi = max(0.0, min(t0, t1)), min(1.0, max(t0, t1))
+        t1 = t0 + m2 * (s.conjugate() * r).real / rr
+        lo, hi = max(0.0, min(t0, t1)), min(m1, max(t0, t1))
         if lo > hi:
             return []
-        return [a + lo * r, a + hi * r]
+        return [a + lo * r, a + hi * r if hi < math.inf else complex(math.inf)]
     t = (qp.conjugate() * s).imag / denom
     u = (qp.conjugate() * r).imag / denom
-    if -eps <= t <= 1 + eps and -eps <= u <= 1 + eps:
+    if -eps <= t <= m1 + eps and -eps <= u <= m2 + eps:
         return [a + t * r]
     return []
 
 
 def paths_intersect_beyond(p1: SegmentalPath, p2: SegmentalPath, disk_radius: float) -> bool:
-    """True when the two paths share a point strictly outside the disk.
-    Terminal rays are compared as long truncated segments whose reach
-    covers any possible finite crossing of the polyline data."""
-    reach = 4.0 * (disk_radius + p1.max_vertex_radius + p2.max_vertex_radius + 1.0)
-    # parallel terminal rays never meet beyond any finite reach unless
-    # collinear, which the overlap branch of the element test reports.
-    pairs = ((e1, e2) for e1 in p1.elements(reach) for e2 in p2.elements(reach))
+    """True when the two paths share a point strictly outside the disk,
+    however far out: terminal rays are intersected as true rays, and two
+    that overlap collinearly share the point at infinity."""
+    pairs = ((e1, e2) for e1 in p1._elements for e2 in p2._elements)
     far = disk_radius * (1.0 + 1e-12)
     return any(abs(pt) > far for e1, e2 in pairs for pt in _intersect_elements(e1, e2))
 

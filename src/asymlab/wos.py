@@ -97,13 +97,15 @@ class WosEstimate:
 
 def _boundary_segments(sys: PathSystem, j: int, R: float) -> np.ndarray:
     """Both bounding polylines of D_j as an array of segment endpoint
-    pairs; terminal rays are truncated well past radius R, which walks
-    confined to |p| < R can never distinguish from true rays."""
+    pairs; each terminal ray from a is cut at length 2R + |a| + 1, past
+    radius R, where walks confined to |p| < R cannot tell it from a ray."""
     g1, g2 = sys.domain_boundary(j)
-    els = list(g1.elements(2.0 * R))
-    if g2 is not g1:
-        els.extend(g2.elements(2.0 * R))
-    return np.array(els, dtype=complex)
+    segs = []
+    for g in (g1,) if g2 is g1 else (g1, g2):
+        a = g.vertices[-1]
+        segs += zip(g.vertices, g.vertices[1:])
+        segs.append((a, a + (2.0 * R + abs(a) + 1.0) * g.terminal_direction))
+    return np.array(segs, dtype=complex)
 
 
 def _path_distance(pos: np.ndarray, segs: np.ndarray) -> np.ndarray:

@@ -192,6 +192,18 @@ def test_domain_critical_radius_exit_3(tmp_path):
     assert rc == 3  # |z| = 1 passes through the corner of the L
 
 
+def test_domain_huge_R(tmp_path, capsys):
+    import math
+
+    argv = ["domain", "--rays", "2", "--R1", "1", "--radii", "2", "--out", "d.json", "--slices-out", "s.csv"]
+    assert run(tmp_path, *argv, "--R", "1e100") == 0
+    doc = json.loads((tmp_path / "d.json").read_text())
+    assert doc["carleman"][0]["integral_I"] == pytest.approx(math.log(1e100) / math.pi, rel=1e-15)
+    # 2 R^2 overflows: a usage error naming the radius
+    assert run(tmp_path, *argv, "--R", "1e160") == 2
+    assert "R = 1e+160" in capsys.readouterr().err
+
+
 def test_domain_wos_seed_echoed(tmp_path):
     rc = run(
         tmp_path, "domain", "--rays", "2", "--R1", "1", "--R", "8",

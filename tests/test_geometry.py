@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from asymlab.geometry import (
     carleman_report,
     check_sector_inequality,
     normalize_collection,
+    paths_intersect_beyond,
     point_in_domain,
 )
 from asymlab.geometry import _intersect_elements, _phi_near, _smooth_intervals
@@ -149,10 +151,11 @@ _L_SYSTEM = PathSystem((SegmentalPath([0, 1, 1 + 10j], 1j), SegmentalPath.ray(ma
 _SWAP = PathSystem((SegmentalPath([0, 3, 2 + 2j, 1j], -1), SegmentalPath([0, 4 + 1j], -1j)))
 
 
-@pytest.mark.parametrize("t", [1e16, 1e20, 1e30, 1e45, 1e60])
+@pytest.mark.parametrize("t", [1e16, 1e20, 1e30, 1e45, 1e60, 1e77, 1e100, 1e150])
 def test_crossings_at_large_radii(t):
-    # on the truncated terminal ray the crossing sits at s = t/(t + |a| + 1),
-    # which rounds to 1.0 from t = 1e16 on; it used to be dropped there
+    # the terminal ray used to be a segment of length t + |a| + 1: from
+    # t = 1e16 its crossing rounded to the far end and was dropped, and from
+    # t = 1e77 its quadratic overflowed
     systems = [PathSystem.equally_spaced_rays(n) for n in (1, 2, 3, 5)]
     systems += [make_random_system(seed) for seed in range(6)] + [_L_SYSTEM]
     for sysm in systems:
@@ -161,6 +164,19 @@ def test_crossings_at_large_radii(t):
         phis = [angular_measure(sysm, j, t).phi for j in range(1, sysm.n + 1)]
         assert min(phis) > 0.0
         assert abs(sum(phis) - 2.0 * math.pi) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1e154, 1e160, 1e300])
+def test_huge_radii_raise(t):
+    # 2 t^2 overflows from t = 9.5e153, t^2 itself from t = 1.3e154
+    path = make_random_system(0).paths[0]
+    with pytest.raises(ValueError, match=re.escape("radius %g " % t)):
+        path.circle_crossing_angles(t)
+    for sysm in (PathSystem.equally_spaced_rays(2), _L_SYSTEM):
+        with pytest.raises(ValueError, match=re.escape("radius %g " % t)):
+            angular_measure(sysm, 1, t)
+        with pytest.raises(ValueError, match=re.escape("R = %g " % t)):
+            carleman_integral(sysm, 1, 1.0, t)
 
 
 def test_phi_closed_form_matches_angular_measure():
@@ -265,6 +281,10 @@ _NEAR_CRITICAL = st.tuples(
     j=st.integers(1, 4),
     picks=st.lists(_NEAR_CRITICAL, min_size=3, max_size=3),
 )
+# R1 = 1, m = 10^1e-7 and R = |1 + 10i| on the L: [m, R] starts 2.3e-7
+# past the square-root end of its interval; parts - whole was 9.5e-12 while
+# each part was smoothed at its own ends
+@example(k=10, j=1, picks=[(0, 0.0, 0.0), (1, 0.0, 0.0), (48, 0.0, 1e-07)])
 @settings(max_examples=300, deadline=None)
 def test_carleman_additive_near_critical_radii(k, j, picks):
     # each of R1 < m < R is a critical radius of domain j's paths, within
@@ -295,7 +315,7 @@ def test_carleman_rays_long_ranges(n, ratio):
 
 def _meeting_radii(sysm, j, R):
     g1, g2 = sysm.domain_boundary(j)
-    pts = [z for e1 in g1.elements(R) for e2 in g2.elements(R) for z in _intersect_elements(e1, e2)]
+    pts = [z for e1 in g1._elements for e2 in g2._elements for z in _intersect_elements(e1, e2)]
     return sorted({abs(z) for z in pts if 0.0 < abs(z) < R})
 
 
@@ -450,6 +470,28 @@ def test_normalize_label_conflict():
     p2 = SegmentalPath([0, 4 - 0.5j], cmath.exp(0.2j))
     with pytest.raises(LabelConflictError):
         normalize_collection([p1, p2], ["a", "b"], 1.0)
+
+
+def test_normalize_far_meeting_rays():
+    # the two terminal rays meet near |z| = 1000; a ray used to be a segment
+    # reaching about 12 here, so the meeting was missed
+    p1, p2 = SegmentalPath.ray(0.0), SegmentalPath([0, 1j], cmath.exp(-1e-3j))
+    assert paths_intersect_beyond(p1, p2, 1.0)
+    with pytest.raises(LabelConflictError):
+        normalize_collection([p1, p2], ["a", "b"], 1.0)
+    assert normalize_collection([p1, p2], ["a", "a"], 1.0).n == 1
+
+
+def test_normalize_collinear_rays():
+    # the terminal ray from 1 runs along the ray from 0: they overlap from 1
+    # out to infinity, the only point of the overlap beyond the disk
+    p1, p2 = SegmentalPath.ray(0.0), SegmentalPath([0, -1j, 1], 1)
+    assert _intersect_elements(p1._elements[-1], p2._elements[-1]) == [1, math.inf]
+    assert paths_intersect_beyond(p1, p2, 10.0)
+    with pytest.raises(LabelConflictError):
+        normalize_collection([p1, p2], ["a", "b"], 10.0)
+    # opposite collinear rays share only their common origin
+    assert not paths_intersect_beyond(p1, SegmentalPath.ray(math.pi), 0.5)
 
 
 @given(seed=st.integers(0, 10_000))
