@@ -46,6 +46,7 @@ from .growth import (
     eval_log,
     fit_order,
     max_on_circle,
+    max_on_circles,
     spec_from_json_dict,
     spec_to_json_dict,
     trace_ray,

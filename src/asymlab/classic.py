@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gammainc import log_gamma_upper, log_sum
+from .gammainc import log_gamma_upper, log_sum, sum_rows
 from .quadrature import integrate_segment
 
 _SERIES_S = 2.0  # |S| below which the power series is summed
@@ -81,12 +81,12 @@ def integrand(w, n: int):
 
 def _log_f_series(z, n: int):
     """ln of the integrated series sum_k (-1)^k z^{nk+1} / ((nk+1) (2k+1)!)
-    at every point of the array z."""
+    at every point of the array z, summed term by term in order."""
     k = np.arange(_SERIES_TERMS)[:, None]
     ratio = -(z**n) / ((2 * k + 2) * (2 * k + 3))
     terms = z * np.vstack([np.ones_like(z), np.cumprod(ratio[:-1], axis=0)])
     with np.errstate(divide="ignore"):
-        return np.log((terms / (n * k + 1)).sum(axis=0))
+        return np.log(sum_rows(terms / (n * k + 1)))
 
 
 def log_dca(z, n: int):

@@ -35,7 +35,7 @@ from .growth import (
     Constructed,
     InsufficientDynamicRangeError,
     fit_order,
-    max_on_circle,
+    max_on_circles,
     spec_from_json_dict,
     spec_to_json_dict,
     trace_ray,
@@ -191,7 +191,7 @@ def cmd_growth(args) -> int:
     radii = parse_radii(args.radii)
     if len(radii) < 2:
         raise InsufficientDynamicRangeError("need several radii for a fit")
-    samples = [max_on_circle(spec, r, coarse=args.coarse) for r in radii]
+    samples = max_on_circles(spec, radii, coarse=args.coarse)
     out, close = _open_out(args.out)
     try:
         out.write("r,log_max_mod,argmax_theta,domain_id\n")
@@ -283,7 +283,7 @@ def _bundled_checks():
 
     def chk_classic_order():
         spec = Classic(ClassicDCA(2))
-        samples = [max_on_circle(spec, float(r), coarse=64) for r in range(5, 31)]
+        samples = max_on_circles(spec, [float(r) for r in range(5, 31)], coarse=64)
         fit = fit_order(samples)
         return fit.rho_hat, 1.0, "|diff| <= 0.2", abs(fit.rho_hat - 1.0) <= 0.2
 

@@ -12,9 +12,15 @@ around the negative real axis where the continued fraction converges slowly
 (series terms cancel by at most e^{|w| + Re w}); else Legendre's continued
 fraction, evaluated by backward recurrence (Gil, Segura and Temme,
 Numerical Methods for Special Functions, SIAM 2007, ch. 6) from a term
-count set a priori by min Re sqrt(w) >= sqrt(2), at most 46 there.  A point
+count set a priori by Re sqrt(w) >= sqrt(2), at most 46 there.  A point
 is accepted only when its N- and (N-1)-term approximants agree to _CF_REL;
 the others are redone with twice the terms, up to _MAX_STEPS.
+
+Batch invariance: every regime takes its term count from the point itself,
+and every sum over terms or rows adds one term after another (a loop, or a
+two-operand einsum, which numpy accumulates so; never numpy's `sum`, which
+adds a single column pairwise).  So the value at a point is, bit for bit,
+the value of the one-point call, whatever else the call evaluates.
 
 The constants that depend on s alone (Gamma(s), 1/s, the series' 1/(s + k)
 and the fraction's coefficients) are built once per tuple of s values.
@@ -22,6 +28,7 @@ and the fraction's coefficients) are built once per tuple of s values.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -39,10 +46,14 @@ _CANCEL_REL = 1e-10  # warn when a sum keeps less than this share of its top ter
 _EULER = 0.57721566490153286061
 # series terms: with |w| < _ASYMPTOTIC_R, |w|^k / k! < 1e-21 at k = e |w| + 40
 _SERIES_TERMS = int(math.e * _ASYMPTOTIC_R) + 41
-# entries of the (terms x columns) matrices that the series and the
-# asymptotic expansion build per block of columns: their transient memory
+_NEG_INV_K = -1.0 / np.arange(1, _SERIES_TERMS + 1)
+# entries of the (terms x points) matrices that the series and the
+# asymptotic expansion build per block of points: their transient memory
 # stays within a few hundred KB however many points a call evaluates
 _BLOCK = 4096
+# entries of the x + b_k table the continued fraction holds per block of
+# points: 256 KB
+_CF_BLOCK = 1 << 14
 
 
 @functools.lru_cache(maxsize=64)
@@ -50,14 +61,16 @@ def _s_tables(s_values):
     """Constants of the rows s: Gamma(s) (-gamma at s = 0, where the series
     takes the E_1 form), 1/s (1 at s = 0), the series' 1/(s + k) for
     k = 1.._SERIES_TERMS, and the continued fraction's 2k + 1 - s and
-    -(k + 1)(k + 1 - s) for k = 0.._MAX_STEPS, the last two as
-    (terms, rows, 1) stacks.  Read-only: every caller shares them."""
+    -(k + 1)(k + 1 - s) for k = 0.._MAX_STEPS, the last two as complex
+    (terms, rows, 1) stacks, so that the recurrence casts nothing.
+    Read-only: every caller shares them."""
     s = np.array(s_values)[:, None]
     gs = np.array([[-_EULER if v == 0.0 else math.gamma(v)] for v in s_values])
     inv_s = 1.0 / np.where(s == 0.0, 1.0, s)
     inv_sk = 1.0 / (s + np.arange(1, _SERIES_TERMS + 1))
     k = np.arange(_MAX_STEPS + 1)[:, None, None]
-    tables = (gs, inv_s, inv_sk, 2 * k + 1 - s, -(k + 1) * (k + 1 - s))
+    b, a = (2 * k + 1 - s).astype(complex), (-(k + 1) * (k + 1 - s)).astype(complex)
+    tables = (gs, inv_s, inv_sk, b, a)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -65,77 +78,117 @@ def _s_tables(s_values):
 
 def _log_series(s, w, lw, tables):
     """ln(e^w Gamma(s, w)) from Gamma(s, w) = Gamma(s) - w^s sum_k (-w)^k /
-    (k! (s + k)), summed as a matrix product per block of columns (einsum
+    (k! (s + k)), summed as a matrix product per block of points (einsum
     rather than matmul keeps BLAS out of the process); at s = 0 the k = 0
     term and Gamma(s) combine to E_1(w) = -gamma - ln w - sum_{k>=1} (-w)^k
-    / (k k!).  With |w| <= 40, |w|^k / k! < 1e-21 at k = e max|w| + 40."""
+    / (k k!).  Each point takes floor(e |w|) + 40 terms, by which, with
+    |w| <= 40, |w|^k / k! < 1e-21; a block's terms past a point's own count
+    are exact zeros."""
     gs, inv_s, inv_sk, _, _ = tables
-    k = np.arange(1, int(math.e * np.abs(w).max()) + 41)
-    inv_sk = inv_sk[:, :k.size]
+    aw = np.abs(w)
+    top, least = (int(math.e * x) + 40 for x in (aw.max(), aw.min()))
+    counts = (math.e * aw).astype(int) + 40 if least < top else None
+    k = np.arange(1, top + 1)
     tail = np.empty((s.shape[0], w.size), complex)
-    step = max(1, _BLOCK // k.size)
+    step = max(1, _BLOCK // top)
     for j in range(0, w.size, step):
-        powers = np.cumprod(-w[j:j + step] / k[:, None], axis=0)  # (-w)^k / k!
-        tail[:, j:j + step] = np.einsum("mk,kn->mn", inv_sk, powers)
-    head = np.where(s == 0.0, gs - lw - tail, gs - np.exp(s * lw) * (inv_s + tail))
+        # -w / k, which numpy's complex division rounds as w * (-1 / k)
+        ratio = w[j:j + step, None] * _NEG_INV_K[:top]
+        if counts is not None:
+            ratio *= k <= counts[j:j + step, None]
+        powers = np.cumprod(ratio, axis=1)  # (-w)^k / k!
+        tail[:, j:j + step] = np.einsum("mk,nk->mn", inv_sk[:, :top], powers)
+    if (s == 0.0).all():
+        head = gs - lw - tail
+    else:
+        head = np.where(s == 0.0, gs - lw - tail, gs - np.exp(s * lw) * (inv_s + tail))
     return w + np.log(head)
 
 
 def _cf_terms(x):
-    """A-priori term count of the continued fraction for points with
-    min Re sqrt(w) = x: the error of the N-term approximant falls about
-    like e^{-4 x sqrt(N)}, to about 1e-15 at N = (8.7 / x)^2; 8 more terms
-    are the margin.  NaN (x is not > 0) gets _MAX_STEPS and fails."""
-    return min(_MAX_STEPS, math.ceil((8.7 / x) ** 2) + 8) if x > 0.0 else _MAX_STEPS
+    """A-priori term count of the continued fraction at each point with
+    Re sqrt(w) = x (an array): the error of the N-term approximant falls
+    about like e^{-4 x sqrt(N)}, to about 1e-15 at N = (8.7 / x)^2; 8 more
+    terms are the margin.  NaN (x is not > 0) gets _MAX_STEPS and fails."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.fmin(np.ceil((8.7 / x) ** 2) + 8.0, _MAX_STEPS).astype(int)
+
+
+def _cf_tails(x, counts, b, a):
+    """The N- and (N-1)-term tails t and u of the fraction, stacked as
+    tu[0] and tu[1], at the points x with term counts N = counts, sorted
+    largest first.  The points share one backward recurrence t, u <-
+    (x + b_k) + a_k / (t, u); a point joins it with t = inf at step k = N,
+    which yields t = x + b_N, and u restarts from inf at step N - 1.  Each
+    point so runs the steps of its own count, and its values are those of
+    the point alone."""
+    tu = np.full((2, b.shape[1], x.size), np.inf, complex)
+    top = int(counts[0])
+    # ends[k]: the number of points with N >= k, a prefix of the points
+    ends = np.searchsorted(-counts, -np.arange(top + 3), side="right").tolist()
+    xb = x + b[:top + 1]
+    for k in range(top, -1, -1):
+        if ends[k + 1] > ends[k + 2]:
+            tu[1, :, ends[k + 2]:ends[k + 1]] = np.inf
+        v = tu[:, :, :ends[k]]
+        np.divide(a[k], v, out=v)
+        v += xb[k, :, :ends[k]]
+    return tu
 
 
 def _log_continued_fraction(s, w, lw, tables):
     """ln(e^w Gamma(s, w)) from Legendre's continued fraction
     Gamma(s, w) = e^{-w} w^s / (w + 1 - s - 1 (1 - s) / (w + 3 - s - ...)),
-    by backward recurrence of its N- and (N-1)-term approximants at once.
-    Points whose two approximants differ by more than _CF_REL (a NaN or a
-    zero denominator among them) are redone with 2N terms; past _MAX_STEPS
-    ArithmeticError is raised."""
+    by backward recurrence of its N- and (N-1)-term approximants at once,
+    with N = _cf_terms(Re sqrt(w)) per point.  Points whose two
+    approximants differ by more than _CF_REL (a NaN or a zero denominator
+    among them) are redone with 2N terms; past _MAX_STEPS ArithmeticError
+    is raised."""
     _, _, _, b, a = tables
     out = np.empty((s.shape[0], w.size), complex)
     todo = np.arange(w.size)
-    n_terms = _cf_terms(float(np.sqrt(0.5 * (np.abs(w) + w.real)).min()))
-    while True:
-        x = w[todo]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = x + b[n_terms]  # the N-term tail
-            u = x + b[n_terms - 1]  # the (N-1)-term tail
-            t = u + a[n_terms - 1] / t
-            for k in range(n_terms - 2, -1, -1):
-                bk = x + b[k]
-                t = bk + a[k] / t
-                u = bk + a[k] / u
-            ok = (np.abs(t - u) <= _CF_REL * np.abs(u)).all(axis=0)
-        done = todo[ok]
-        out[:, done] = s * lw[done] - np.log(t[:, ok])
-        todo = todo[~ok]
-        if not todo.size:
-            return out
-        if n_terms == _MAX_STEPS:
+    counts = _cf_terms(np.sqrt(0.5 * (np.abs(w) + w.real)))
+    while todo.size:
+        order = np.argsort(-counts, kind="stable")
+        todo, counts = todo[order], counts[order]
+        ok = np.empty(todo.size, bool)
+        step = max(1, _CF_BLOCK // (s.shape[0] * (int(counts[0]) + 1)))
+        for j in range(0, todo.size, step):
+            idx = todo[j:j + step]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t, u = _cf_tails(w[idx], counts[j:j + step], b, a)
+                good = ok[j:j + step] = (np.abs(t - u) <= _CF_REL * np.abs(u)).all(axis=0)
+            out[:, idx[good]] = s * lw[idx[good]] - np.log(t[:, good])
+        todo, counts = todo[~ok], counts[~ok]
+        if (counts == _MAX_STEPS).any():
             raise ArithmeticError("incomplete gamma continued fraction did not converge")
-        n_terms = min(2 * n_terms, _MAX_STEPS)
+        counts = np.minimum(2 * counts, _MAX_STEPS)
+    return out
+
+
+# _ASYMPTOTIC_AT[i]: the |w| above which the bound (k+1)! / |w|^k on the
+# k-th asymptotic term falls below 1e-17, for k = 35 - i (ascending)
+_ASYMPTOTIC_AT = [(math.factorial(k + 1) * 1e17) ** (1.0 / k) for k in range(35, 0, -1)]
 
 
 def _log_asymptotic(s, w, lw, tables):
     """ln(e^w Gamma(s, w)) from Gamma(s, w) ~ w^{s-1} e^{-w} sum_k
-    (s-1)...(s-k) / w^k, to the first k at which the bound (k+1)! / |w|^k
-    on its terms falls below 1e-17, or to k = 36: with |w| >= 40 the terms
-    still shrink there."""
-    aw = float(np.abs(w).min())
-    kmax, bound = 1, 2.0 / aw
-    while bound >= 1e-17 and kmax < 36:
-        kmax += 1
-        bound *= (kmax + 1) / aw
-    sk = s[:, :, None] - np.arange(1, kmax + 1)[:, None]
+    (s-1)...(s-k) / w^k, at each point to the first k at which the bound
+    (k+1)! / |w|^k on its terms falls below 1e-17, or to k = 36: with
+    |w| >= 40 the terms still shrink there.  A block's terms past a point's
+    own count are exact zeros."""
+    aw = np.abs(w)
+    top, least = (36 - bisect.bisect_left(_ASYMPTOTIC_AT, float(x)) for x in (aw.min(), aw.max()))
+    counts = 36 - np.searchsorted(_ASYMPTOTIC_AT, aw) if least < top else None
+    k = np.arange(1, top + 1)[:, None, None]
+    sk = s - k
     total = np.empty((s.shape[0], w.size), complex)
     step = max(1, _BLOCK // sk.size)
     for j in range(0, w.size, step):
-        total[:, j:j + step] = np.cumprod(sk / w[j:j + step], axis=1).sum(axis=1)
+        terms = sk / w[j:j + step]
+        if counts is not None:
+            terms *= k <= counts[j:j + step]
+        total[:, j:j + step] = sum_rows(np.cumprod(terms, axis=0))
     return (s - 1.0) * lw + np.log(1.0 + total)
 
 
@@ -156,27 +209,48 @@ def log_gamma_upper(s, w, lw):
     series = ~far & (aw + w.real < 2.0 * _SERIES_X)
     for mask, kernel in (
         (series, _log_series),
-        (~far & ~series, _log_continued_fraction),
+        (~(far | series), _log_continued_fraction),
         (far, _log_asymptotic),
     ):
-        if mask.any():
+        count = np.count_nonzero(mask)
+        if count == w.size:
+            return kernel(s, w, lw, tables)
+        if count:
             out[:, mask] = kernel(s, w[mask], lw[mask], tables)
     return out
 
 
 def log_sum(terms):
-    """ln of the column sums of exp(terms), without overflow.  Warns with
-    CancellationWarning when a sum keeps less than _CANCEL_REL of its
-    largest term."""
+    """ln of the column sums of exp(terms), without overflow, each summed
+    row after row in order (for the few rows here a loop costs less than
+    sum_rows).  Warns with CancellationWarning when a sum keeps less than
+    _CANCEL_REL of its largest term."""
     top = terms.real.max(axis=0)
     finite = np.isfinite(top)
-    shift = np.where(finite, top, 0.0)
-    total = np.exp(terms - shift).sum(axis=0)
-    if np.any(finite & (np.abs(total) < _CANCEL_REL)):
+    every = finite.all()
+    shift = top if every else np.where(finite, top, 0.0)
+    rows = np.exp(terms - shift)
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    small = np.abs(total) < _CANCEL_REL
+    if small.any() if every else np.any(finite & small):
         warnings.warn(
             "catastrophic cancellation in a sum of %d terms" % terms.shape[0],
             CancellationWarning,
             stacklevel=3,
         )
     with np.errstate(divide="ignore"):
+        if every:
+            return np.log(total) + shift
         return np.where(finite, np.log(total) + shift, -np.inf)
+
+
+def sum_rows(x):
+    """The sum over the first axis of the C-contiguous complex array x,
+    each entry summed term after term in order, so that it does not depend
+    on the other entries: a two-operand einsum with ones on the real view,
+    which numpy accumulates one term after another for one column as for
+    many.  numpy's `sum` over a single column instead adds pairwise."""
+    n = x.shape[0]
+    return np.einsum("k,kn->n", np.ones(n), x.reshape(n, -1).view(float)).view(complex).reshape(x.shape[1:])

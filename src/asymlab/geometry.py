@@ -482,14 +482,16 @@ def _intersect_elements(e1, e2, eps: float = 1e-12) -> list:
     points a + s d with 0 <= s <= s_max: a segment (s_max = 1) or a ray
     (s_max = inf).  Collinear overlaps report both overlap endpoints; the
     far end of an overlap along two rays is the point at infinity,
-    complex(inf)."""
+    complex(inf).  Elements that are not collinear meet where their lines
+    do, if that point is within the reach of both, however far out: two
+    rays 1e-13 rad apart meet near 1e13."""
     a, r, m1 = e1
     c, s, m2 = e2
     denom = (r.conjugate() * s).imag  # cross(r, s)
     qp = c - a
-    if abs(denom) < eps * max(abs(r) * abs(s), 1e-30):
-        if abs((qp.conjugate() * r).imag) > eps * max(abs(qp) * abs(r), 1e-30):
-            return []  # parallel, not collinear
+    off_line = (qp.conjugate() * r).imag  # cross(qp, r)
+    near_parallel = abs(denom) < eps * max(abs(r) * abs(s), 1e-30)
+    if near_parallel and abs(off_line) <= eps * max(abs(qp) * abs(r), 1e-30):
         # collinear: project onto r
         rr = (r.conjugate() * r).real
         t0 = (qp.conjugate() * r).real / rr
@@ -498,8 +500,11 @@ def _intersect_elements(e1, e2, eps: float = 1e-12) -> list:
         if lo > hi:
             return []
         return [a + lo * r, a + hi * r if hi < math.inf else complex(math.inf)]
+    if denom == 0.0:
+        return []  # parallel, not collinear
+    # nearly parallel lines meet far out: the reaches decide
     t = (qp.conjugate() * s).imag / denom
-    u = (qp.conjugate() * r).imag / denom
+    u = off_line / denom
     if -eps <= t <= m1 + eps and -eps <= u <= m2 + eps:
         return [a + t * r]
     return []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,11 @@ from .specs import Polynomial, Series
 
 _REFINE_TOL = 1e-6  # angular resolution of the grid polish
 _GRID = 32  # polish probes per bracket and step
+_MAX_COARSE = 10**6  # largest coarse probe count of a circle
+# most points one evaluation call of a scan holds: the evaluators'
+# temporaries then stay under about 1 MB however many circles a scan takes,
+# while the calls are long enough that numpy's per-call cost is small
+_MAX_PROBES = 1024
 
 
 class InsufficientDynamicRangeError(ValueError):
@@ -152,60 +158,64 @@ class GrowthSample:
     samples_used: int
 
 
+def _log_mods_chunked(spec: EntireSpec, zs):
+    """log|f| at the points of the array zs, in calls of at most
+    _MAX_PROBES points each.  Every evaluator's value at a point does not
+    depend on the other points of its call, so the chunking changes no
+    bit."""
+    return np.concatenate([
+        np.asarray(_log_mods(spec, zs[i:i + _MAX_PROBES]), dtype=float)
+        for i in range(0, zs.size, _MAX_PROBES)
+    ])
+
+
 def _refine(g, lo, hi, th, val, tol):
-    """Grid refinement of the brackets [lo, hi] (arrays) to width tol,
-    starting from the best point (th, val) known so far.  Each step calls
-    g (an array of angles to an array of values) once, on _GRID equally
-    spaced interior points of every bracket still wider than tol, and
-    narrows each bracket to the neighbours of its best point.  Returns the
-    best angle and value seen, the first of equals, and the number of
-    evaluations."""
-    used = 0
+    """Grid refinement of the brackets [lo, hi] to width tol, starting from
+    each circle's best point (lists th, val) so far.  lo and hi hold three
+    brackets per circle, circle c's at 3c..3c+2 (an unused one has width
+    0); all four are updated in place.  Each step calls g (a 2-D array of
+    angles, one row per bracket, and the brackets' indices to an array of
+    values) once, on _GRID equally spaced interior points of every bracket
+    still wider than tol, and narrows each bracket to the neighbours of its
+    best point; a circle takes the best of its brackets, the first of
+    equals.  Returns the number of evaluations per circle."""
+    used = [0] * len(th)
     steps = np.arange(1, _GRID + 1)
+    starts = 3 * np.arange(len(th) + 1)
     while True:
         wide = np.flatnonzero(hi - lo > tol)
         if not wide.size:
-            return th, val, used
+            return used
         h = (hi[wide] - lo[wide]) / (_GRID + 1)
         grid = lo[wide, None] + h[:, None] * steps
-        vals = g(grid.ravel()).reshape(grid.shape)
-        used += grid.size
+        vals = g(grid, wide).reshape(grid.shape)
         i = (np.arange(wide.size), vals.argmax(axis=1))
         top_th, top = grid[i], vals[i]
-        j = int(top.argmax())
-        if top[j] > val:
-            th, val = float(top_th[j]), float(top[j])
+        bounds = np.searchsorted(wide, starts).tolist()
+        for c, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
+            if b0 < b1:
+                used[c] += _GRID * (b1 - b0)
+                j = b0 + int(top[b0:b1].argmax())
+                if top[j] > val[c]:
+                    th[c], val[c] = float(top_th[j]), float(top[j])
         lo[wide], hi[wide] = top_th - h, top_th + h
 
 
-def max_on_circle(
-    spec: EntireSpec,
-    r: float,
-    sys_domain: tuple[PathSystem, int] | None = None,
-    coarse: int = 256,
-) -> GrowthSample:
-    """Maximum of log|f| on |z| = r, optionally restricted to a domain of a
-    path system.
+class _Circle(NamedTuple):
+    """A circle to scan: its radius, the ends a, b of its arcs, the probe
+    count of each arc and the probe angles."""
 
-    The circle is a list of arcs: the full circle is the one arc
-    (-pi, pi), a domain brings the arcs of angular_measure.  Each arc gets
-    at least 4 of about `coarse` probes in proportion to its length, at the
-    midpoints of equal steps.  The three best local maxima of the probe
-    grid (cyclic only on the full circle) are bracketed by their
-    neighbouring probes, clamped to the probe's own arc in a domain, and
-    polished on a grid to angular resolution _REFINE_TOL; every spec kind
-    evaluates all probes of a step in one array call.  samples_used counts
-    every evaluated probe.  A domain restriction at a critical radius of
-    its bounding paths raises DegenerateRadiusError, as angular_measure
-    does.
-    """
-    if not 0 < r < math.inf:
-        raise ValueError("r must be finite and > 0")
-    if coarse < 64:
-        raise ValueError("coarse must be >= 64")
-    full = sys_domain is None
-    if full:
-        domain_id, arcs = None, [(-math.pi, math.pi)]
+    r: float
+    a: np.ndarray
+    b: np.ndarray
+    counts: np.ndarray
+    angles: np.ndarray
+
+
+def _probe_angles(r, sys_domain, coarse) -> _Circle:
+    """The arcs of the circle |z| = r to scan and their probes."""
+    if sys_domain is None:
+        arcs = [(-math.pi, math.pi)]
     else:
         sys_, domain_id = sys_domain
         arcs = angular_measure(sys_, domain_id, r).arcs
@@ -216,27 +226,108 @@ def max_on_circle(
     angles = np.concatenate(
         [a0 + (np.arange(m) + 0.5) * ((b0 - a0) / m) for a0, b0, m in zip(a, b, counts)]
     )
+    return _Circle(r, a, b, counts, angles)
 
-    def g(thetas):
-        return np.asarray(_log_mods(spec, r * np.exp(1j * thetas)), dtype=float)
 
-    vals = g(angles)
-    left, right = np.roll(vals, 1), np.roll(vals, -1)
-    if not full:
-        left[0] = right[-1] = -math.inf
-    order = np.argsort(-vals, kind="stable")
-    peaks = ~(left > vals) & ~(right > vals)
-    picked = order[peaks[order]][:3]
-    # a domain's first and last probes wrap to neighbours outside its
-    # arcs, which the clamp replaces by the arc ends
-    lo = np.concatenate([angles[-1:] - TWO_PI, angles[:-1]])[picked]
-    hi = np.concatenate([angles[1:], angles[:1] + TWO_PI])[picked]
-    if not full:
-        lo = np.maximum(lo, np.repeat(a, counts)[picked])
-        hi = np.minimum(hi, np.repeat(b, counts)[picked])
-    best = order[0]
-    th, val, used = _refine(g, lo, hi, float(angles[best]), float(vals[best]), _REFINE_TOL)
-    return GrowthSample(r, val, wrap_angle(th), domain_id, angles.size + used)
+def _scan(spec, circles, sys_domain):
+    """The samples of the circles (each as _probe_angles gives it), all
+    scanned in lockstep: one evaluation of every coarse probe, then one per
+    polish step."""
+    full = sys_domain is None
+    rs = np.array([c.r for c in circles], dtype=float)
+    sizes = [c.angles.size for c in circles]
+    vals_all = _log_mods_chunked(
+        spec, np.repeat(rs, sizes) * np.exp(1j * np.concatenate([c.angles for c in circles]))
+    )
+    lo, hi = np.zeros(3 * rs.size), np.zeros(3 * rs.size)
+    th, val = [], []
+    start = 0
+    for c, (_, a, b, counts, angles) in enumerate(circles):
+        vals = vals_all[start:start + angles.size]
+        start += angles.size
+        left, right = np.roll(vals, 1), np.roll(vals, -1)
+        if not full:
+            left[0] = right[-1] = -math.inf
+        order = np.argsort(-vals, kind="stable")
+        peaks = ~(left > vals) & ~(right > vals)
+        picked = order[peaks[order]][:3]
+        # a domain's first and last probes wrap to neighbours outside its
+        # arcs, which the clamp replaces by the arc ends
+        lo_c = np.concatenate([angles[-1:] - TWO_PI, angles[:-1]])[picked]
+        hi_c = np.concatenate([angles[1:], angles[:1] + TWO_PI])[picked]
+        if not full:
+            lo_c = np.maximum(lo_c, np.repeat(a, counts)[picked])
+            hi_c = np.minimum(hi_c, np.repeat(b, counts)[picked])
+        lo[3 * c:3 * c + picked.size], hi[3 * c:3 * c + picked.size] = lo_c, hi_c
+        th.append(float(angles[order[0]]))
+        val.append(float(vals[order[0]]))
+
+    r_bracket = np.repeat(rs, 3)
+
+    def g(grid, brackets):
+        return _log_mods_chunked(spec, (r_bracket[brackets, None] * np.exp(1j * grid)).ravel())
+
+    used = _refine(g, lo, hi, th, val, _REFINE_TOL)
+    domain_id = None if full else sys_domain[1]
+    return [
+        GrowthSample(c.r, v, wrap_angle(t), domain_id, m + u)
+        for c, v, t, m, u in zip(circles, val, th, sizes, used)
+    ]
+
+
+def max_on_circles(
+    spec: EntireSpec,
+    radii,
+    sys_domain: tuple[PathSystem, int] | None = None,
+    coarse: int = 256,
+) -> list:
+    """Maxima of log|f| on the circles |z| = r for each r of radii, in
+    order, optionally restricted to a domain of a path system.
+
+    Each circle is a list of arcs: the full circle is the one arc
+    (-pi, pi), a domain brings the arcs of angular_measure.  Each arc gets
+    at least 4 of about `coarse` probes in proportion to its length, at the
+    midpoints of equal steps.  The three best local maxima of the probe
+    grid (cyclic only on the full circle) are bracketed by their
+    neighbouring probes, clamped to the probe's own arc in a domain, and
+    polished on a grid to angular resolution _REFINE_TOL.  samples_used
+    counts every evaluated probe of the circle.
+
+    The circles are scanned in lockstep, in groups of at most _MAX_PROBES
+    coarse probes: one array call evaluates the coarse probes of a group,
+    then one call per polish step the probes of all its open brackets.  No
+    call holds more than _MAX_PROBES points, and since the evaluators are
+    batch invariant every sample is, bit for bit, the one of its circle
+    scanned alone.  A domain restriction at a critical radius of its
+    bounding paths raises DegenerateRadiusError, as angular_measure does.
+    """
+    radii = list(radii)
+    if not all(0 < r < math.inf for r in radii):
+        raise ValueError("r must be finite and > 0")
+    if not 64 <= coarse <= _MAX_COARSE:
+        raise ValueError("coarse must lie in [64, %d]" % _MAX_COARSE)
+    samples, group, size = [], [], 0
+    for r in radii:
+        circle = _probe_angles(r, sys_domain, coarse)
+        if group and size + circle.angles.size > _MAX_PROBES:
+            samples += _scan(spec, group, sys_domain)
+            group, size = [], 0
+        group.append(circle)
+        size += circle.angles.size
+    if group:
+        samples += _scan(spec, group, sys_domain)
+    return samples
+
+
+def max_on_circle(
+    spec: EntireSpec,
+    r: float,
+    sys_domain: tuple[PathSystem, int] | None = None,
+    coarse: int = 256,
+) -> GrowthSample:
+    """Maximum of log|f| on |z| = r, optionally restricted to a domain of a
+    path system: the one-circle case of max_on_circles."""
+    return max_on_circles(spec, [r], sys_domain, coarse)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +472,7 @@ def verify_theorem1(
     rho = declared_order(spec)
     order_ok = math.isnan(rho) or rho >= kappa
     conclusion = min(
-        max_on_circle(spec, r, coarse=coarse).log_max_mod / r ** (n / 2.0)
-        for r in radii
+        s.log_max_mod / s.r ** (n / 2.0) for s in max_on_circles(spec, radii, coarse=coarse)
     )
     checks = []
     for r in radii:

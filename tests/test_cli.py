@@ -159,6 +159,13 @@ def test_growth_nan_radius_exit_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_growth_coarse_cap_exit_2(tmp_path, capsys):
+    # used to exit 4 with a MemoryError for 7.28 TiB of probes
+    rc = run(tmp_path, "growth", "--f", "classic:2", "--radii", "5:6:1", "--coarse", "1000000000000", "--out", "g.csv")
+    assert rc == 2
+    assert "coarse" in capsys.readouterr().err
+
+
 def test_growth_single_radius_fails(tmp_path):
     assert run(tmp_path, "growth", "--f", "poly:0,1", "--radii", "5", "--out", "g.csv") == 2
 

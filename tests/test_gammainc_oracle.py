@@ -90,7 +90,7 @@ def test_retry_path_matches_mpmath(monkeypatch):
     # redone with 4, 8, ... terms until it passes
     ss = S_BY_N[5]
     s = np.array(ss)[:, None]
-    monkeypatch.setattr(gammainc, "_cf_terms", lambda x: 2)
+    monkeypatch.setattr(gammainc, "_cf_terms", lambda x: np.full(x.shape, 2))
     _check(ss, range(W.size), log_gamma_upper(s, W, np.log(W)))
     # two terms alone do not pass: the values above came from the retries
     monkeypatch.setattr(gammainc, "_MAX_STEPS", 2)

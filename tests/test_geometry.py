@@ -482,6 +482,21 @@ def test_normalize_far_meeting_rays():
     assert normalize_collection([p1, p2], ["a", "a"], 1.0).n == 1
 
 
+@pytest.mark.parametrize("k", range(6, 14))
+def test_nearly_parallel_rays_meet_far_out(k):
+    # rays 10^-k rad apart met only down to about 1e-12 rad, when a fixed
+    # angle decided that two elements were parallel
+    delta = 10.0**-k
+    ray = SegmentalPath.ray(0.0)
+    toward, away = (SegmentalPath([0, 1j], cmath.exp(sign * 1j * delta)) for sign in (-1, 1))
+    assert paths_intersect_beyond(ray, toward, 1.0)
+    (pt,) = _intersect_elements(ray._elements[-1], toward._elements[-1])
+    assert abs(pt - 1.0 / math.tan(delta)) <= 1e-9 / delta
+    assert not paths_intersect_beyond(ray, away, 1.0)
+    # segments along those lines stop long before the lines meet
+    assert _intersect_elements((0j, 1 + 0j, 1.0), (1j, cmath.exp(-1j * delta), 1.0)) == []
+
+
 def test_normalize_collinear_rays():
     # the terminal ray from 1 runs along the ray from 0: they overlap from 1
     # out to infinity, the only point of the overlap beyond the disk

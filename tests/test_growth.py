@@ -17,6 +17,7 @@ from asymlab.growth import (
     eval_log,
     fit_order,
     max_on_circle,
+    max_on_circles,
     spec_from_json_dict,
     spec_to_json_dict,
     trace_ray,
@@ -162,6 +163,74 @@ def test_max_on_circle_two_arc_domain():
             dense = growth._log_mods(spec, 2.0 * np.exp(1j * probes)).max()
             assert gs.log_max_mod == pytest.approx(dense, abs=1e-6)
     assert two_arcs == 2
+
+
+SPEC_KINDS = {
+    "poly": Polynomial([1, 2, 0.5 + 1j]),
+    "series": Series([1, -0.5, 0.25j, 0.1], 10.0),
+    "constructed": Constructed(
+        ConstructedF(3, (Series([1, 0.5, 0.25j], 10.0), Polynomial([0, 1]), Polynomial([2j])))
+    ),
+    "classic2": Classic(ClassicDCA(2)),
+    "classic3": Classic(ClassicDCA(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_KINDS))
+def test_max_on_circles_equals_single_scans(kind):
+    # the lockstep scan of many circles gives, bit for bit, the sample of
+    # each circle scanned alone
+    spec = SPEC_KINDS[kind]
+    radii = [0.5, 1.0, 1.7, 2.5, 3.5, 5.0, 7.5, 9.0]
+    assert max_on_circles(spec, radii, coarse=64) == [max_on_circle(spec, r, coarse=64) for r in radii]
+
+
+@pytest.mark.parametrize("kind", ["poly", "classic2"])
+def test_max_on_circles_domain_equals_single_scans(kind):
+    spec = SPEC_KINDS[kind]
+    kinked = SegmentalPath([0, 3, 2 + 2j, 1j], -1)
+    for sysm in (PathSystem.equally_spaced_rays(3), PathSystem((SegmentalPath.ray(-math.pi / 2), kinked))):
+        for j in range(1, sysm.n + 1):
+            radii = [0.5, 1.5, 2.0, 4.0, 6.0]
+            got = max_on_circles(spec, radii, (sysm, j), coarse=64)
+            assert got == [max_on_circle(spec, r, (sysm, j), coarse=64) for r in radii]
+            assert {s.domain_id for s in got} == {j}
+
+
+def test_max_on_circles_call_sizes(monkeypatch):
+    spec = Classic(ClassicDCA(2))
+    radii = [float(r) for r in range(5, 31)]
+    want = max_on_circles(spec, radii, coarse=128)
+    bounds = (growth._MAX_PROBES, 300)
+    seen = _counting_log_mods(monkeypatch)
+    steps = []
+    for r in radii:
+        max_on_circle(spec, r, coarse=128)
+        steps.append(len(seen) - 1)
+        seen.clear()
+    # without a bound, one call takes the coarse probes of every circle,
+    # then one call per polish step the probes of every open bracket
+    monkeypatch.setattr(growth, "_MAX_PROBES", 10**6)
+    assert max_on_circles(spec, radii, coarse=128) == want
+    assert seen[0] == 26 * 128
+    assert len(seen) == 1 + max(steps) < 26
+    assert sum(seen) == sum(s.samples_used for s in want)
+    # with a bound the circles go in groups and the calls in chunks, and
+    # not a bit changes
+    for bound in bounds:
+        seen.clear()
+        monkeypatch.setattr(growth, "_MAX_PROBES", bound)
+        assert max_on_circles(spec, radii, coarse=128) == want
+        assert max(seen) <= bound
+        assert sum(seen) == sum(s.samples_used for s in want)
+
+
+def test_coarse_bounds():
+    spec = Polynomial([0, 1])
+    for bad in (63, growth._MAX_COARSE + 1, 10**12):
+        with pytest.raises(ValueError, match="coarse"):
+            max_on_circles(spec, [1.0, 2.0], coarse=bad)
+    assert max_on_circles(spec, []) == []
 
 
 def test_fit_order_exact_power_law():
