@@ -93,7 +93,8 @@ class SegmentalPath:
         if abs(a) >= radius:
             raise ValueError("radius must exceed the last vertex radius")
         b = (a * u.conjugate()).real
-        s = -b + math.sqrt(b * b + radius**2 - abs(a) ** 2)
+        # s = -b + sqrt(b^2 + radius^2 - |a|^2), with no square of radius to overflow
+        s = -b + math.hypot(b, math.sqrt(radius - abs(a)) * math.sqrt(radius + abs(a)))
         return a + s * u
 
     def critical_radii(self) -> list:
@@ -274,18 +275,23 @@ class CarlemanReport:
 def point_in_domain(sys: PathSystem, j: int, p: complex) -> bool:
     """Membership in domain j: the winding number about p of the loop out
     along path j to the circle of radius 4 * max(|p|, vertex reach, 1),
-    counterclockwise along that circle, and back along path j+1.  p lies
-    inside the circle, so the arc turns by exactly the angle between its
-    end points as seen from p (a full turn when they coincide)."""
+    counterclockwise along that circle, and back along path j+1.  Each leg
+    turns by the change in argument of its points as seen from p, wrapped
+    into [-π, π) along a segment and into [0, 2π) along the arc, which p
+    lies inside (a full turn when the arc's ends coincide).  Arguments of
+    differences neither overflow nor underflow where their products would.
+    Raises ValueError where that radius is not finite."""
     p = complex(p)
     g1, g2 = sys.domain_boundary(j)
     r_big = 4.0 * max(abs(p), sys.max_vertex_radius, 1.0)
+    if not math.isfinite(r_big):
+        raise ValueError("point %r is too far out for a membership test" % p)
     e1, e2 = g1.exit_point(r_big), g2.exit_point(r_big)
-    turn = (cmath.phase(e2 - p) - cmath.phase(e1 - p)) % TWO_PI if e1 != e2 else TWO_PI
-    for pts in (g1.vertices + (e1,), (e2,) + g2.vertices[::-1]):
-        v = np.array(pts) - p
-        turn += float(np.angle(v[1:] * v[:-1].conj()).sum())
-    return round(turn / TWO_PI) != 0
+    steps = np.diff(np.angle(np.array(g1.vertices + (e1, e2) + g2.vertices[::-1]) - p))
+    turns = (steps + math.pi) % TWO_PI - math.pi
+    arc = len(g1.vertices)  # the step from e1 to e2
+    turns[arc] = steps[arc] % TWO_PI if e1 != e2 else TWO_PI
+    return round(float(turns.sum()) / TWO_PI) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,22 @@ Philox4x64-10 applied to the counter (k//4 + 1, 0, 0, 0) under the key
 0.0 + 2π·((x >> 11)·2⁻⁵³).  That is draw k of
 ``Generator(Philox(key=[seed, i])).uniform(0, 2π)``, bit for bit.
 
-The kernel runs its rounds over consecutive slices of at most _BLOCK live
-walks.  A round keeps about a dozen uint64 temporaries alive; over 100 000
-walks at once each takes 800 KB and together they spill out of L2, while a
-slice of 16 384 walks needs 128 KB each and stays inside a 2 MB L2.  The
-words are exact integer arithmetic, so the slicing never changes a bit.
-Each round turns only the lane in use into angles, so the draws of walks
-absorbed before their lane comes up are never converted.
+The walks run in a pool of at most _BLOCK live walks.  Each kernel call
+draws the next block of 4 for every live walk, at the walk's own counter.
+At every round where the blocks run out the free slots take the next walk
+indices in order, each new walk starting at counter 1, so all live walks
+share one lane while their counters differ.  A kernel call keeps about a
+dozen uint64 temporaries alive; over 100 000 walks at once each would take
+800 KB and together they would spill out of L2, while 16 384 walks need
+128 KB each and stay inside a 2 MB L2.  A call also has a fixed cost of
+about 2 000 walks' blocks, so once every walk has started, a pool of at
+most _BLOCK // 16 walks draws k blocks per call, up to _BLOCK // 8 (walk,
+counter) pairs.  Memory is O(_BLOCK) however many walks run.  A walk's
+draws and moves depend only on its own index and move count, and the hit
+and truncation counts are integer sums over walks, so neither the pool nor
+k ever changes a bit.  Each round turns only the lane in use into angles,
+so the draws of walks absorbed before their lane comes up are never
+converted.
 """
 
 from __future__ import annotations
@@ -49,10 +58,10 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _U11 = np.uint64(11)
 _U32 = np.uint64(32)
 _TWO_PI = 2.0 * math.pi
-# Walks per kernel slice, chosen by measurement: the dozen uint64 temporaries
-# of a slice, 128 KB each, fit a 2 MB L2 cache together.
+# Live walks in the pool, chosen by measurement: the dozen uint64 temporaries
+# of a kernel call, 128 KB each, fit a 2 MB L2 cache together.
 _BLOCK = 16384
-_MAX_WALKS = 10**7  # largest n_walks: the walk arrays peak near 1.3 GB there
+_MAX_WALKS = 10**7  # largest n_walks: it bounds the run time, 16–19 s on 2 cores
 
 
 class StartOutsideDomainError(ValueError):
@@ -98,14 +107,21 @@ class WosEstimate:
 def _boundary_segments(sys: PathSystem, j: int, R: float) -> np.ndarray:
     """Both bounding polylines of D_j as an array of segment endpoint
     pairs; each terminal ray from a is cut at length 2R + |a| + 1, past
-    radius R, where walks confined to |p| < R cannot tell it from a ray."""
+    radius R, where walks confined to |p| < R cannot tell it from a ray.
+    Raises ValueError where a squared segment length, which _path_distance
+    divides by, is not finite: from R near 6.7e153 on."""
     g1, g2 = sys.domain_boundary(j)
     segs = []
     for g in (g1,) if g2 is g1 else (g1, g2):
         a = g.vertices[-1]
         segs += zip(g.vertices, g.vertices[1:])
         segs.append((a, a + (2.0 * R + abs(a) + 1.0) * g.terminal_direction))
-    return np.array(segs, dtype=complex)
+    segs = np.array(segs, dtype=complex)
+    d = segs[:, 1] - segs[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite((d * d.conjugate()).real).all():
+            raise ValueError("R = %g is too large: a boundary segment's squared length overflows" % R)
+    return segs
 
 
 def _path_distance(pos: np.ndarray, segs: np.ndarray) -> np.ndarray:
@@ -149,44 +165,41 @@ def _mulhi(m: int, x: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _philox_words(counter: int, seed: int, walks: np.ndarray) -> np.ndarray:
-    """Draws 4(counter−1) … 4·counter−1 of each walk's stream as raw words:
-    a (4, len(walks)) uint64 array whose row k is lane k of Philox4x64-10
-    at counter (counter, 0, 0, 0) under key (seed, walk).
+def _philox_words(counters: np.ndarray, seed: int, walks: np.ndarray) -> np.ndarray:
+    """Draws 4(c−1) … 4c−1 of each walk's stream as raw words, c the walk's
+    entry of the uint64 array `counters`: a (4, len(walks)) uint64 array
+    whose row k is lane k of Philox4x64-10 at counter (c, 0, 0, 0) under
+    key (seed, walk).
 
-    Round 0 and the word-0 product of round 1 depend only on the counter
-    and the seed, so they stay Python ints: round 0 maps (counter, 0, 0, 0)
-    to (seed, 0, hi(M0·counter) ^ walk, lo(M0·counter)).  The array rounds
-    run over slices of at most _BLOCK walks, one slice after another."""
+    Round 0 maps (c, 0, 0, 0) to (seed, 0, hi(M0·c) ^ walk, lo(M0·c)); the
+    words that depend only on the seed stay Python ints."""
     seed = int(seed)
-    out = np.empty((4, walks.size), dtype=np.uint64)
-    c_hi, c_lo = divmod(_PHILOX_M0 * counter, 2**64)
     s_hi, s_lo = divmod(_PHILOX_M0 * seed, 2**64)
     m0, m1, w1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1), np.uint64(_PHILOX_W1)
-    for start in range(0, walks.size, _BLOCK):
-        w = walks[start:start + _BLOCK]
-        # round 1, under key (seed + W0, walk + W1)
-        x2 = w ^ np.uint64(c_hi)
-        x0 = _mulhi(_PHILOX_M1, x2)
-        x0 ^= np.uint64((seed + _PHILOX_W0) & _MASK64)
-        x1 = x2 * m1
-        k1 = w + w1
-        x2 = k1 ^ np.uint64(s_hi ^ c_lo)
-        x3 = np.uint64(s_lo)
-        for r in range(2, _PHILOX_ROUNDS):
-            # round r uses the key bumped r times by the Weyl constants
-            k1 += w1
-            hi0 = _mulhi(_PHILOX_M0, x0)
-            hi0 ^= x3
-            hi0 ^= k1
-            hi1 = _mulhi(_PHILOX_M1, x2)
-            hi1 ^= x1
-            hi1 ^= np.uint64((seed + r * _PHILOX_W0) & _MASK64)
-            x0 *= m0
-            x2 *= m1
-            x0, x1, x2, x3 = hi1, x2, hi0, x0
-        out[:, start:start + _BLOCK] = (x0, x1, x2, x3)
-    return out
+    # round 1, under key (seed + W0, walk + W1)
+    x2 = _mulhi(_PHILOX_M0, counters)
+    x2 ^= walks
+    x0 = _mulhi(_PHILOX_M1, x2)
+    x0 ^= np.uint64((seed + _PHILOX_W0) & _MASK64)
+    x1 = x2 * m1
+    k1 = walks + w1
+    x2 = counters * m0
+    x2 ^= k1
+    x2 ^= np.uint64(s_hi)
+    x3 = np.uint64(s_lo)
+    for r in range(2, _PHILOX_ROUNDS):
+        # round r uses the key bumped r times by the Weyl constants
+        k1 += w1
+        hi0 = _mulhi(_PHILOX_M0, x0)
+        hi0 ^= x3
+        hi0 ^= k1
+        hi1 = _mulhi(_PHILOX_M1, x2)
+        hi1 ^= x1
+        hi1 ^= np.uint64((seed + r * _PHILOX_W0) & _MASK64)
+        x0 *= m0
+        x2 *= m1
+        x0, x1, x2, x3 = hi1, x2, hi0, x0
+    return np.stack((x0, x1, x2, x3))
 
 
 def _angles(words: np.ndarray) -> np.ndarray:
@@ -202,12 +215,13 @@ def estimate_harmonic_measure(
     at z1.
 
     Reproducible: walk i draws from the Philox4x64-10 stream keyed by
-    (seed, i) (see the module docstring), and every surviving walk
-    consumes exactly one draw per synchronized round, so the result
-    depends only on (seed, n_walks) and the geometry.  The seed lies in
-    [0, 2**63).  Absorbed walks are dropped from the position, radius and
-    draw arrays, so memory is O(live walks) and draws are made only for
-    live walks, one block of 4 every 4 rounds.
+    (seed, i) (see the module docstring), and move m of a walk uses its
+    draw m, so the result depends only on (seed, n_walks) and the geometry.
+    The seed lies in [0, 2**63).  The walks run in a pool of at most _BLOCK
+    live walks, refilled in index order every 4 rounds, and absorbed walks
+    are dropped from the position, radius and draw arrays, so memory is
+    O(live walks) and draws are made only for live walks, in blocks of 4.
+    A walk whose own move count reaches max_steps is truncated.
     Ties in the absorption classification go to the path boundary, which
     can only lower the estimate.
     """
@@ -227,30 +241,55 @@ def estimate_harmonic_measure(
         )
 
     n = cfg.n_walks
-    walks = np.arange(n, dtype=np.uint64)  # key word 1 of each live walk
-    pos = np.full(n, z1, dtype=complex)
-    hits = 0
-    for step in range(cfg.max_steps):
-        # every live walk has drawn once per round, so all sit at one lane
-        lane = step % 4
+    walks = np.empty(0, dtype=np.uint64)  # key word 1 of each live walk, ascending
+    pos = np.empty(0, dtype=complex)
+    # (first walk, entry round) of each refill that may still hold live
+    # walks, oldest first; a refill's walks sit at one counter and together
+    # reach the step cap at round entry + max_steps
+    cohorts = []
+    started = hits = truncated = 0
+    t = t_block = t_next = 0  # the current block of draws serves rounds t_block … t_next − 1
+    while started < n or walks.size:
+        fresh = t == t_next
+        if fresh and walks.size < _BLOCK and started < n:
+            free = min(_BLOCK - walks.size, n - started)
+            cohorts.append((started, t))
+            walks = np.concatenate((walks, np.arange(started, started + free, dtype=np.uint64)))
+            pos = np.concatenate((pos, np.full(free, z1)))
+            started += free
+        if cohorts and cohorts[0][1] == t - cfg.max_steps:
+            # the oldest refill's walks lead the arrays
+            del cohorts[0]
+            cut = int(np.searchsorted(walks, np.uint64(cohorts[0][0]))) if cohorts else walks.size
+            truncated += cut
+            walks, pos = walks[cut:], pos[cut:]
+            if not fresh:
+                block = block[..., cut:]
         d_path = _path_distance(pos, segs)
         d_circ = R - np.abs(pos)
         rad = np.minimum(d_path, d_circ)
         absorbed = rad < shell
         if absorbed.any():
-            hits += int(np.sum(d_circ[absorbed] < d_path[absorbed]))
+            hits += int(np.count_nonzero(d_circ[absorbed] < d_path[absorbed]))
             idx = np.flatnonzero(~absorbed)
-            walks = walks.take(idx)
-            if walks.size == 0:
-                break
-            pos, rad = pos.take(idx), rad.take(idx)
-            if lane:
-                block = block.take(idx, axis=1)
-            del idx  # 8 bytes a walk, not to be held through the Philox kernel
-        if lane == 0:
-            block = _philox_words(step // 4 + 1, cfg.seed, walks)
-        pos = pos + rad * np.exp(1j * _angles(block[lane]))
-    truncated = int(walks.size)
+            walks, pos, rad = walks.take(idx), pos.take(idx), rad.take(idx)
+            if not fresh:
+                block = block.take(idx, axis=-1)
+        if fresh:
+            # a refill's walks have made t - entry moves, a multiple of 4
+            firsts = np.array([w for w, _ in cohorts], dtype=np.uint64)
+            sizes = np.diff(np.searchsorted(walks, firsts), append=walks.size)
+            counters = np.array([(t - entry) // 4 + 1 for _, entry in cohorts], dtype=np.uint64).repeat(sizes)
+            cohorts = [c for c, size in zip(cohorts, sizes) if size]
+            # once every walk has started, a small pool draws its next k
+            # blocks in one call of up to _BLOCK // 8 (walk, counter) pairs
+            k = max(1, _BLOCK // 8 // walks.size) if started == n and walks.size else 1
+            counters = (counters + np.arange(k, dtype=np.uint64)[:, None]).ravel()
+            block = _philox_words(counters, cfg.seed, np.tile(walks, k)).reshape(4, k, walks.size)
+            t_block, t_next = t, t + 4 * k
+        r = t - t_block
+        pos = pos + rad * np.exp(1j * _angles(block[r % 4, r // 4]))
+        t += 1
     omega_hat = hits / n
     ci = 1.96 * math.sqrt(omega_hat * (1.0 - omega_hat) / n)
     warning = None

@@ -244,6 +244,24 @@ def test_domain_wos_too_many_walks_exit_2(tmp_path, capsys):
     assert "n_walks must lie in [1, 10000000]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "R, z1",
+    [
+        ("9e153", "2e153-2e153i"),  # used to exit 0 with a wrong estimate
+        ("9.4e153", "3e153-3e153i"),  # used to exit 4 on an OverflowError
+        ("8", "5e-324-5e-324i"),  # likewise, and lies in the absorption shell
+    ],
+)
+def test_domain_wos_extreme_input_exit_2(tmp_path, capsys, R, z1):
+    rc = run(
+        tmp_path, "domain", "--rays", "2", "--R1", "1", "--R", R,
+        "--radii", "2", "--wos", "--z1=" + z1, "--walks", "200",
+        "--out", "d.json", "--slices-out", "s.csv",
+    )
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_check_filter_and_exit(tmp_path, capsys):
     rc = run(tmp_path, "check", "--filter", "carleman")
     assert rc == 0

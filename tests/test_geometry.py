@@ -431,6 +431,19 @@ def test_point_in_domain_quarter():
     assert point_in_domain(sysm, 1, 40 + 39j)  # far points too
 
 
+@pytest.mark.filterwarnings("error")
+def test_point_in_domain_huge_and_subnormal_points():
+    # domain 1 of two rays is the lower half plane; squares of |p| near
+    # 3e153 used to overflow and subnormal arguments to raise
+    rays = PathSystem.equally_spaced_rays(2)
+    for p in (3e153 - 3e153j, 1e307 - 1e307j, -1e300j, 5e-324 - 5e-324j, -5e-324j):
+        assert point_in_domain(rays, 1, p) and not point_in_domain(rays, 2, p)
+        assert point_in_domain(rays, 2, p.conjugate()) and not point_in_domain(rays, 1, p.conjugate())
+    # the closing circle's radius 4|p| overflows
+    with pytest.raises(ValueError, match="too far out"):
+        point_in_domain(rays, 1, 1e308 - 1j)
+
+
 def test_is_simple():
     assert SegmentalPath([0, 1, 1 + 10j], 1j).is_simple()
     # self-crossing bow-tie

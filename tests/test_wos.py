@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,13 +160,32 @@ def test_dominated_by_carleman_on_random_system():
     assert est.omega_hat <= bound + 3.0 * est.ci95_halfwidth
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_radius_scales_or_raises():
+    """Two rays, scaled with R: a terminal ray's squared length 4R² is
+    finite up to R near 6.7e153, and the estimate is R = 8's.  Beyond,
+    the distances used to fall back to the segment's start point and the
+    estimate read 0.8987 instead of 0.3338."""
+    rays = PathSystem.equally_spaced_rays(2)  # domain 1: the lower half plane
+    cfg = WosConfig(20000, seed=7)
+    want = estimate_harmonic_measure(rays, 1, 8.0, 2 - 2j, cfg)
+    assert abs(want.omega_hat - sector_omega(2 - 2j, 8.0, math.pi, math.pi)) <= 3.0 * want.ci95_halfwidth
+    got = estimate_harmonic_measure(rays, 1, 6.6e153, (2 - 2j) * 6.6e153 / 8, cfg)
+    assert repr(got) == repr(want)
+    for R in (6.8e153, 9e153, 1e300):
+        with pytest.raises(ValueError, match=re.escape("R = %g" % R)):
+            estimate_harmonic_measure(rays, 1, R, (2 - 2j) * R / 8, cfg)
+
+
 # --- the Philox stream --------------------------------------------------------
 
 @pytest.mark.filterwarnings("error")  # a uint64 scalar overflow warning fails
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 3, 2**63 - 1])
 def test_philox_kernel_matches_numpy_stream(seed):
     walks = np.array([0, 1, 63, 64, 2**32 + 1], dtype=np.uint64)
-    got = np.concatenate([_angles(_philox_words(c, seed, walks)) for c in range(1, 17)])
+    got = np.concatenate(
+        [_angles(_philox_words(np.full(walks.size, c, dtype=np.uint64), seed, walks)) for c in range(1, 17)]
+    )
     assert got.shape == (64, walks.size)
     for col, i in enumerate(walks.tolist()):
         want = Generator(Philox(key=[seed, i])).uniform(0.0, 2.0 * math.pi, 64)
@@ -180,14 +200,14 @@ WRAP_SEED = 2**64 - wos._PHILOX_W0 + 12345
 @pytest.mark.parametrize("seed", [0, 2**63 - 1, WRAP_SEED])
 @pytest.mark.parametrize("counter", [1, 2, 25_001, 2**32 + 1])
 def test_philox_kernel_block_edges(seed, counter):
-    """Two full kernel slices and a partial one, over increasing walk
-    indices with gaps, as after absorptions, that cross 2**32.  Counter
-    25 001 is one past the last that the default 100 000-step cap uses."""
+    """Increasing walk indices with gaps, as after absorptions, that cross
+    2**32, all at one counter.  Counter 25 001 is one past the last that
+    the default 100 000-step cap uses."""
     B = wos._BLOCK
     gaps = np.random.default_rng(counter).integers(1, 2**18, 2 * B + 7, dtype=np.uint64)
     walks = np.uint64(2**31) + np.cumsum(gaps, dtype=np.uint64)  # near 2**32 at walks[B]
     assert walks[0] < 2**32 < walks[-1]
-    words = _philox_words(counter, seed, walks)
+    words = _philox_words(np.full(walks.size, counter, dtype=np.uint64), seed, walks)
     angles = _angles(words)
     assert words.shape == angles.shape == (4, walks.size)
     for col in sorted({0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 6}):
@@ -198,6 +218,22 @@ def test_philox_kernel_block_edges(seed, counter):
         bits.advance(counter - 1)
         want = Generator(bits).uniform(0.0, 2.0 * math.pi, 4)
         assert angles[:, col].tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 2**63 - 1, WRAP_SEED])
+def test_philox_kernel_mixed_counters(seed):
+    """One call whose walks sit at different counters, as in a refilled
+    pool: each column is its own walk's stream at its own counter."""
+    rng = np.random.default_rng(7)
+    walks = np.sort(rng.choice(2**33, 64, replace=False)).astype(np.uint64)
+    counters = np.array([1, 2, 25_001, 2**32 + 1], dtype=np.uint64)[rng.permutation(64) % 4]
+    words = _philox_words(counters, seed, walks)
+    assert words.shape == (4, 64)
+    for col in range(64):
+        bits = Philox(key=[seed, int(walks[col])])
+        bits.advance(int(counters[col]) - 1)
+        assert words[:, col].tobytes() == bits.random_raw(4).tobytes()
 
 
 # --- the distance kernel ------------------------------------------------------
@@ -321,33 +357,37 @@ def test_kernel_slice_size_never_changes_estimate(monkeypatch, kinked, cfg):
         sysm = make_random_system(1003)
         z1 = domain_probe_point(sysm, 1, 1.0)
     want = estimate_harmonic_measure(sysm, 1, 8.0, z1, cfg)
-    sizes = []
+    sizes, counters_seen = [], []
 
-    def spy(counter, seed, walks):
+    def spy(counters, seed, walks):
         sizes.append(walks.size)
-        return _philox_words(counter, seed, walks)
+        counters_seen.append(np.unique(counters).size)
+        return _philox_words(counters, seed, walks)
 
     monkeypatch.setattr(wos, "_BLOCK", 64)
     monkeypatch.setattr(wos, "_philox_words", spy)
     got = estimate_harmonic_measure(sysm, 1, 8.0, z1, cfg)
     assert repr(got) == repr(want)
-    assert sum(size > 64 for size in sizes) >= 3  # several multi-slice calls
+    assert max(sizes) <= 64  # the pool never holds more than _BLOCK walks
+    assert sum(k >= 2 for k in counters_seen) >= 3  # refills mixed counters
     if cfg.max_steps == 100:
         assert got.truncated_walks > 64
 
 
 def test_peak_memory_of_large_estimate():
-    """Traced peak of a 100k-walk estimate: 12.91 MB measured with numpy
-    2.4 (129 bytes a walk), bounded at 14 MB, below the 18.0 MB that the
-    Philox kernel takes over all live walks at once."""
+    """Traced peak of a 100k-walk estimate: 2.90 MB measured with numpy
+    2.4, the same at 20k and 400k walks, since at most _BLOCK walks are
+    live.  Bounded at 4 MB, a margin of 1.1 MB for other numpy builds;
+    with every walk live at once the 100k walks peaked at 12.9 MB."""
     z1 = 3.0 * cmath.exp(1j * 0.6)
-    tracemalloc.start()
-    try:
-        estimate_harmonic_measure(QSYS, 1, 8.0, z1, WosConfig(100_000, seed=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14e6
+    for n_walks in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            estimate_harmonic_measure(QSYS, 1, 8.0, z1, WosConfig(n_walks, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, n_walks
 
 
 # --- closed-form sectors ------------------------------------------------------
