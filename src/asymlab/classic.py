@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gammainc import log_gamma_upper, log_sum, sum_rows
+from .gammainc import _ERRSTATE, _log_gamma_upper, _s_tables, log_sum, sum_rows
 from .quadrature import integrate_segment
 
 _SERIES_S = 2.0  # |S| below which the power series is summed
@@ -81,51 +81,64 @@ def integrand(w, n: int):
 
 def _log_f_series(z, n: int):
     """ln of the integrated series sum_k (-1)^k z^{nk+1} / ((nk+1) (2k+1)!)
-    at every point of the array z, summed term by term in order."""
+    at every point of the array z, summed term by term in order (ln 0 =
+    -inf at z = 0, under the caller's _ERRSTATE)."""
     k = np.arange(_SERIES_TERMS)[:, None]
     ratio = -(z**n) / ((2 * k + 2) * (2 * k + 3))
     terms = z * np.vstack([np.ones_like(z), np.cumprod(ratio[:-1], axis=0)])
-    with np.errstate(divide="ignore"):
-        return np.log(sum_rows(terms / (n * k + 1)))
+    return np.log(sum_rows(terms / (n * k + 1)))
 
 
 def log_dca(z, n: int):
     """ln f at every point of the array z (real part ln|f|, imaginary part
-    arg f), through the generalised sine integral."""
+    arg f), through the generalised sine integral.  Raises ValueError where
+    |z|^{n/2} is not finite."""
     if n < 1:
         raise ValueError("n must be >= 1")
     z = np.asarray(z, dtype=complex).ravel()
-    out = np.empty(z.size, complex)
-    r = np.abs(z)
-    mod_s = r ** (0.5 * n)  # |S|
-    small = mod_s < _SERIES_S
-    if small.any():
+    with np.errstate(**_ERRSTATE):
+        r = np.abs(z)
+        mod_s = r ** (0.5 * n)  # |S|
+        finite = np.isfinite(mod_s)
+        if np.count_nonzero(finite) < z.size:
+            raise ValueError(
+                "|z| = %g: |z|^(%d/2) is not finite in double precision" % (r[~finite].min(), n)
+            )
+        small = mod_s < _SERIES_S
+        if not np.count_nonzero(small):
+            return _log_dca_far(z, r, mod_s, n)
+        out = np.empty(z.size, complex)
         out[small] = _log_f_series(z[small], n)
-    z, r, mod_s = z[~small], r[~small], mod_s[~small]
-    if z.size:
-        th = np.angle(z)
-        k = np.round(th * n / (2.0 * math.pi))
-        half = 0.5 * n * (th - 2.0 * math.pi * k / n)  # arg S, in [-pi/2, pi/2]
-        # S from its modulus and argument: through exp(ln S) ln|f| would
-        # lose several ulp at |S| in the hundreds
-        S = mod_s * np.exp(1j * half)
-        w = np.concatenate([-1j * S, 1j * S])
-        lr = 0.5 * n * np.log(r)
-        lw = np.concatenate([lr + 1j * (half - 0.5 * math.pi), lr + 1j * (half + 0.5 * math.pi)])
-        if n == 1:
-            lg = np.zeros(w.size, complex)  # Gamma(1, w) = e^{-w}
-        else:
-            lg = log_gamma_upper(np.array([[2.0 / n - 1.0]]), w, lw)[0]
-        # the terms A_n, e^{i pi/n} Gamma(s, -iS) / n and e^{-i pi/n} Gamma(s, iS) / n
-        c = complex(-math.log(n), math.pi / n)
-        m = z.size
-        terms = np.vstack([
-            np.full(m, _log_a(n), complex),
-            (lg[:m] + c) - w[:m],
-            (lg[m:] + c.conjugate()) - w[m:],
-        ])
-        out[~small] = log_sum(terms) + 2j * math.pi * k / n
-    return out
+        big = ~small
+        out[big] = _log_dca_far(z[big], r[big], mod_s[big], n)
+        return out
+
+
+def _log_dca_far(z, r, mod_s, n: int):
+    """ln f at the points z with |S| = mod_s >= _SERIES_S, from the Gamma
+    terms, under the caller's _ERRSTATE."""
+    th = np.arctan2(z.imag, z.real)
+    k = np.rint(th * n / (2.0 * math.pi))
+    half = 0.5 * n * (th - 2.0 * math.pi * k / n)  # arg S, in [-pi/2, pi/2]
+    # S from its modulus and argument: through exp(ln S) ln|f| would lose
+    # several ulp at |S| in the hundreds
+    S = mod_s * np.exp(1j * half)
+    w = np.concatenate([-1j * S, 1j * S])
+    lr = 0.5 * n * np.log(r)
+    lw = np.concatenate([lr + 1j * (half - 0.5 * math.pi), lr + 1j * (half + 0.5 * math.pi)])
+    if n == 1:
+        lg = np.zeros(w.size, complex)  # Gamma(1, w) = e^{-w}
+    else:
+        lg = _log_gamma_upper(_s_tables((2.0 / n - 1.0,)), w, lw, np.abs(w))[0]
+    # the terms A_n, e^{i pi/n} Gamma(s, -iS) / n and e^{-i pi/n} Gamma(s, iS) / n
+    c = complex(-math.log(n), math.pi / n)
+    m = z.size
+    terms = np.empty((3, m), complex)
+    terms[0] = _log_a(n)
+    np.add(lg[:m], c, out=terms[1])
+    np.add(lg[m:], c.conjugate(), out=terms[2])
+    terms[1:] -= w.reshape(2, m)
+    return log_sum(terms) + 2j * math.pi * k / n
 
 
 def eval_dca(z: complex, cfg: ClassicDCA, tol: float = 1e-10, path=None) -> complex:

@@ -173,12 +173,14 @@ def cmd_trace(args) -> int:
     radii = parse_radii(args.radii)
     if not radii:
         raise UsageError("empty radii list")
+    # every ray is evaluated before the CSV is opened, so a failure leaves
+    # no partial file
+    rows = [(j, r, lg) for j in range(1, spec.cf.n + 1) for r, lg in trace_ray(spec, j, radii)]
     out, close = _open_out(args.out)
     try:
         out.write("ray_index,r,log10_abs_residual\n")
-        for j in range(1, spec.cf.n + 1):
-            for r, lg in trace_ray(spec, j, radii):
-                out.write(("%d," + _F + "," + _F + "\n") % (j, r, lg))
+        for row in rows:
+            out.write(("%d," + _F + "," + _F + "\n") % row)
     finally:
         if close:
             out.close()

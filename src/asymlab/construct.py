@@ -29,15 +29,17 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .gammainc import log_gamma_upper, log_sum
+from .gammainc import _ERRSTATE, _log_gamma_upper, _s_tables, _STables, log_sum
 from .logcx import LogComplex, wrap_angle
 from .quadrature import integrate_segment, truncation_radius
-from .specs import TargetFunction
+from .specs import Polynomial, TargetFunction
 
 ANG_TOL = 1e-9  # angular width of the contour and of the residual's rays
 
@@ -106,42 +108,83 @@ def contour_identity(n: int, tol: float = 1e-12) -> complex:
 # ---------------------------------------------------------------------------
 # the regularised incomplete gamma function
 
+class _OrderTables(NamedTuple):
+    """Constants of order n, rows m = 1..n-1: the gammainc tables of
+    s = m/n, ln Gamma(m/n), omega^{-jm} (column j = 1..n) and the phase
+    i (pi + 2 pi (km mod n) / n) of -omega^{km} (column k = 0..n-1)."""
+
+    gamma: _STables
+    lgs: np.ndarray
+    dft: np.ndarray
+    phase: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _order_tables(n: int) -> _OrderTables:
+    """The _OrderTables of n >= 2, built once.  Read-only: every caller
+    shares them."""
+    m = np.arange(1, n)[:, None]
+    lgs = np.array([[math.lgamma(v / n)] for v in range(1, n)])
+    dft = np.exp(-2j * math.pi * ((np.arange(1, n + 1) * m) % n) / n)
+    phase = 1j * (math.pi + 2.0 * math.pi * ((np.arange(n) * m) % n) / n)
+    for t in (lgs, dft, phase):
+        t.flags.writeable = False
+    return _OrderTables(_s_tables(tuple((np.arange(1, n) / n).tolist())), lgs, dft, phase)
+
+
+def _fill_log_q(out, t: _OrderTables, w, lw, aw):
+    """Write ln(e^w Q(m/n, w)) for m = 1..n-1 (rows) and every w (columns)
+    into out, with lw = ln w on the branch the caller needs (see gammainc)
+    and aw = |w|."""
+    if np.count_nonzero(aw) == aw.size:
+        np.subtract(_log_gamma_upper(t.gamma, w, lw, aw), t.lgs, out=out)
+    else:
+        nz = aw != 0
+        out[...] = 0.0  # Q(s, 0) = 1
+        out[:, nz] = _log_gamma_upper(t.gamma, w[nz], lw[nz], aw[nz]) - t.lgs
+
+
 def _log_q(n: int, w, lw):
-    """ln(e^w Q(m/n, w)) for m = 1..n-1 (rows) and every w (columns), with
-    lw = ln w on the branch the caller needs (see gammainc)."""
-    s = (np.arange(1, n) / n)[:, None]
-    out = np.zeros((n - 1, w.size), complex)  # Q(s, 0) = 1
-    nz = w != 0
-    if nz.any():
-        lgs = np.array([[math.lgamma(m / n)] for m in range(1, n)])
-        out[:, nz] = log_gamma_upper(s, w[nz], lw[nz]) - lgs
+    """ln(e^w Q(m/n, w)) for m = 1..n-1 (rows) and every w (columns)."""
+    out = np.empty((n - 1, w.size), complex)
+    with np.errstate(**_ERRSTATE):
+        _fill_log_q(out, _order_tables(n), w, lw, np.abs(w))
     return out
 
 
-def _q_terms(z, n: int):
-    """Sector index k in 0..n-1 of each z (z = omega^k w^{1/n}, principal
-    root), w = z^n, and the rows ln(-omega^{km} e^w Q(m/n, w)), m = 1..n-1,
-    with ln w taken on the branch that root requires."""
-    th = np.angle(z)
-    k = np.round(th * n / (2.0 * math.pi))
+def _q_terms(z, n: int, out):
+    """Sector index k of each z (z = omega^k w^{1/n}, principal root), in
+    [-n/2, n/2], and w = z^n; writes the rows ln(-omega^{km} e^w Q(m/n, w)),
+    m = 1..n-1, into out, with ln w taken on the branch that root requires.
+    Raises ValueError where z^n is not finite."""
+    t = _order_tables(n)
+    th = np.arctan2(z.imag, z.real)
+    nth = th * n
+    k = np.rint(nth / (2.0 * math.pi))
     w = z**n
-    want = n * th - 2.0 * math.pi * k  # arg w on that branch, in [-pi, pi]
-    arg_w = np.angle(w)
-    arg_w = arg_w + 2.0 * math.pi * np.round((want - arg_w) / (2.0 * math.pi))
-    with np.errstate(divide="ignore"):
-        lw = np.log(np.abs(w)) + 1j * arg_w
-    k = k.astype(int) % n
-    m = np.arange(1, n)[:, None]
-    return k, w, _log_q(n, w, lw) + 1j * (math.pi + 2.0 * math.pi * ((k * m) % n) / n)
+    aw = np.abs(w)
+    finite = np.isfinite(aw)
+    if np.count_nonzero(finite) < aw.size:
+        bad = np.abs(z[~finite]).min()
+        raise ValueError("|z| = %g: z^%d is not finite in double precision" % (bad, n))
+    want = nth - 2.0 * math.pi * k  # arg w on that branch, in [-pi, pi]
+    arg_w = np.arctan2(w.imag, w.real)
+    arg_w += 2.0 * math.pi * np.rint((want - arg_w) / (2.0 * math.pi))
+    lw = np.log(aw) + 1j * arg_w
+    k = k.astype(int)
+    _fill_log_q(out, t, w, lw, aw)
+    out += t.phase[:, k]  # k >= -n indexes column k mod n
+    return k, w
 
 
 def _log_phi(z: complex, n: int, with_exp: bool):
     """ln phi(z); without e^{z^n}, the Q terms alone: ln E(z)."""
-    k, w, q = _q_terms(np.array([complex(z)]), n)
-    rows = q - math.log(n)
-    if with_exp:
-        rows = np.vstack([rows, np.where(k == 0, w, -np.inf)])
-    return log_sum(rows)[0]
+    rows = np.empty((n, 1), complex)  # the Q terms, then e^{z^n}
+    with np.errstate(**_ERRSTATE):
+        k, w = _q_terms(np.array([complex(z)]), n, rows[:-1])
+        rows[:-1] -= math.log(n)
+        rows[-1] = np.where(k == 0, w, -np.inf)
+        return log_sum(rows if with_exp else rows[:-1])[0]
 
 
 def eval_E(z: complex, n: int, tol: float = 1e-9) -> complex:
@@ -189,32 +232,63 @@ class ConstructedF:
             raise ValueError("need exactly n target functions")
         object.__setattr__(self, "a_list", tuple(self.a_list))
 
+    @functools.cached_property
+    def _horner(self):
+        """The targets' coefficients as a read-only (terms, n, 1) stack,
+        highest power first, zero-padded to the longest target, when every
+        target is a Polynomial; else None."""
+        if not all(isinstance(t, Polynomial) for t in self.a_list):
+            return None
+        top = max(len(t.coeffs) for t in self.a_list)
+        c = np.zeros((top, self.n, 1), complex)
+        for i, t in enumerate(self.a_list):
+            c[top - len(t.coeffs):, i, 0] = t.coeffs[::-1]
+        c.flags.writeable = False
+        return c
+
     def ray_angle(self, j: int) -> float:
         if not 1 <= j <= self.n:
             raise ValueError("ray index out of range")
         return wrap_angle(2.0 * math.pi * j / self.n)
 
 
+def _targets(z, cf: ConstructedF):
+    """The targets a_j(z) (rows) at the points z (columns): Polynomial
+    targets by one Horner pass over their zero-padded coefficients, which
+    gives each row's bits as the target's own call does."""
+    if cf._horner is None:
+        a = np.empty((cf.n, z.size), complex)
+        for i, t in enumerate(cf.a_list):
+            a[i] = t(z)
+        return a
+    a = np.zeros((cf.n, z.size), complex)
+    for c in cf._horner:
+        a = a * z + c  # a * z as in Polynomial: with FMA, z * a can round apart
+    return a
+
+
 def _log_f_terms(z, cf: ConstructedF):
     """ln of the target a_k(z) (first row) and of the Q terms
     -A_m(z) omega^{km} Q(m/n, z^n) (one row per m) of f at each z."""
     n = cf.n
-    a = np.array([np.broadcast_to(t(z), z.shape) for t in cf.a_list], dtype=complex)
+    a = _targets(z, cf)
     if n == 1:
         return np.log(a)
-    k, w, q = _q_terms(z, n)
-    m = np.arange(1, n)[:, None]
-    j = np.arange(1, n + 1)[None, :]
-    dft = np.einsum("mj,jn->mn", np.exp(-2j * math.pi * ((j * m) % n) / n), a) / n  # A_m
-    return np.vstack([np.log(a[(k - 1) % n, np.arange(z.size)]), np.log(dft) + q - w])
+    terms = np.empty((n, z.size), complex)
+    q = terms[1:]
+    k, w = _q_terms(z, n, q)
+    q += np.log(np.einsum("mj,jn->mn", _order_tables(n).dft, a) / n)  # A_m
+    q -= w
+    terms[0] = np.log(a[k - 1, np.arange(z.size)])  # k - 1 >= -n: row k - 1 mod n
+    return terms
 
 
 def log_f(z, cf: ConstructedF):
     """ln f at every point of the array z (real part ln|f|, imaginary part
     arg f), assembled in log space.  Cancellation warnings from the final
-    sum propagate."""
+    sum propagate; a point where z^n is not finite raises ValueError."""
     z = np.asarray(z, dtype=complex).ravel()
-    with np.errstate(divide="ignore"):
+    with np.errstate(**_ERRSTATE):
         return log_sum(_log_f_terms(z, cf))
 
 
@@ -238,7 +312,7 @@ def log_residual(z, j0: int, cf: ConstructedF):
     off = np.angle(z) - cf.ray_angle(j0)
     if np.any(np.abs(np.remainder(off + math.pi, 2.0 * math.pi) - math.pi) > ANG_TOL):
         raise NotOnRayError("z is not on ray %d within angular tolerance" % j0)
-    with np.errstate(divide="ignore"):
+    with np.errstate(**_ERRSTATE):
         return log_sum(_log_f_terms(z, cf)[1:])
 
 

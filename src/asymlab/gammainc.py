@@ -32,6 +32,7 @@ import bisect
 import functools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,8 @@ _CANCEL_REL = 1e-10  # warn when a sum keeps less than this share of its top ter
 _EULER = 0.57721566490153286061
 # series terms: with |w| < _ASYMPTOTIC_R, |w|^k / k! < 1e-21 at k = e |w| + 40
 _SERIES_TERMS = int(math.e * _ASYMPTOTIC_R) + 41
-_NEG_INV_K = -1.0 / np.arange(1, _SERIES_TERMS + 1)
+_K = np.arange(1, _SERIES_TERMS + 1)
+_NEG_INV_K = -1.0 / _K
 # entries of the (terms x points) matrices that the series and the
 # asymptotic expansion build per block of points: their transient memory
 # stays within a few hundred KB however many points a call evaluates
@@ -54,29 +56,44 @@ _BLOCK = 4096
 # entries of the x + b_k table the continued fraction holds per block of
 # points: 256 KB
 _CF_BLOCK = 1 << 14
+# numpy's floating-point flags for one public call: ln 0 = -inf is a value
+# here, and the kernels divide by zero and overflow in values they discard
+_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
+
+
+class _STables(NamedTuple):
+    """Constants of the rows s (a column): Gamma(s) (-gamma at s = 0, where
+    the series takes the E_1 form), 1/s (1 at s = 0), the series' 1/(s + k)
+    for k = 1.._SERIES_TERMS, the continued fraction's 2k + 1 - s and
+    -(k + 1)(k + 1 - s) for k = 0.._MAX_STEPS as complex (terms, rows, 1)
+    stacks, so that the recurrence casts nothing, and the number of rows
+    with s = 0."""
+
+    s: np.ndarray
+    gs: np.ndarray
+    inv_s: np.ndarray
+    inv_sk: np.ndarray
+    b: np.ndarray
+    a: np.ndarray
+    zeros: int
 
 
 @functools.lru_cache(maxsize=64)
-def _s_tables(s_values):
-    """Constants of the rows s: Gamma(s) (-gamma at s = 0, where the series
-    takes the E_1 form), 1/s (1 at s = 0), the series' 1/(s + k) for
-    k = 1.._SERIES_TERMS, and the continued fraction's 2k + 1 - s and
-    -(k + 1)(k + 1 - s) for k = 0.._MAX_STEPS, the last two as complex
-    (terms, rows, 1) stacks, so that the recurrence casts nothing.
-    Read-only: every caller shares them."""
+def _s_tables(s_values) -> _STables:
+    """The _STables of the tuple of s values, built once.  Read-only: every
+    caller shares them."""
     s = np.array(s_values)[:, None]
     gs = np.array([[-_EULER if v == 0.0 else math.gamma(v)] for v in s_values])
     inv_s = 1.0 / np.where(s == 0.0, 1.0, s)
     inv_sk = 1.0 / (s + np.arange(1, _SERIES_TERMS + 1))
     k = np.arange(_MAX_STEPS + 1)[:, None, None]
     b, a = (2 * k + 1 - s).astype(complex), (-(k + 1) * (k + 1 - s)).astype(complex)
-    tables = (gs, inv_s, inv_sk, b, a)
-    for t in tables:
+    for t in (s, gs, inv_s, inv_sk, b, a):
         t.flags.writeable = False
-    return tables
+    return _STables(s, gs, inv_s, inv_sk, b, a, s_values.count(0.0))
 
 
-def _log_series(s, w, lw, tables):
+def _log_series(t, w, lw, aw):
     """ln(e^w Gamma(s, w)) from Gamma(s, w) = Gamma(s) - w^s sum_k (-w)^k /
     (k! (s + k)), summed as a matrix product per block of points (einsum
     rather than matmul keeps BLAS out of the process); at s = 0 the k = 0
@@ -84,12 +101,10 @@ def _log_series(s, w, lw, tables):
     / (k k!).  Each point takes floor(e |w|) + 40 terms, by which, with
     |w| <= 40, |w|^k / k! < 1e-21; a block's terms past a point's own count
     are exact zeros."""
-    gs, inv_s, inv_sk, _, _ = tables
-    aw = np.abs(w)
     top, least = (int(math.e * x) + 40 for x in (aw.max(), aw.min()))
     counts = (math.e * aw).astype(int) + 40 if least < top else None
-    k = np.arange(1, top + 1)
-    tail = np.empty((s.shape[0], w.size), complex)
+    k = _K[:top]
+    tail = np.empty((t.s.shape[0], w.size), complex)
     step = max(1, _BLOCK // top)
     for j in range(0, w.size, step):
         # -w / k, which numpy's complex division rounds as w * (-1 / k)
@@ -97,11 +112,13 @@ def _log_series(s, w, lw, tables):
         if counts is not None:
             ratio *= k <= counts[j:j + step, None]
         powers = np.cumprod(ratio, axis=1)  # (-w)^k / k!
-        tail[:, j:j + step] = np.einsum("mk,nk->mn", inv_sk[:, :top], powers)
-    if (s == 0.0).all():
-        head = gs - lw - tail
+        tail[:, j:j + step] = np.einsum("mk,nk->mn", t.inv_sk[:, :top], powers)
+    if not t.zeros:
+        head = t.gs - np.exp(t.s * lw) * (t.inv_s + tail)
+    elif t.zeros == t.s.shape[0]:
+        head = t.gs - lw - tail
     else:
-        head = np.where(s == 0.0, gs - lw - tail, gs - np.exp(s * lw) * (inv_s + tail))
+        head = np.where(t.s == 0.0, t.gs - lw - tail, t.gs - np.exp(t.s * lw) * (t.inv_s + tail))
     return w + np.log(head)
 
 
@@ -110,8 +127,7 @@ def _cf_terms(x):
     Re sqrt(w) = x (an array): the error of the N-term approximant falls
     about like e^{-4 x sqrt(N)}, to about 1e-15 at N = (8.7 / x)^2; 8 more
     terms are the margin.  NaN (x is not > 0) gets _MAX_STEPS and fails."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.fmin(np.ceil((8.7 / x) ** 2) + 8.0, _MAX_STEPS).astype(int)
+    return np.fmin(np.ceil((8.7 / x) ** 2) + 8.0, _MAX_STEPS).astype(int)
 
 
 def _cf_tails(x, counts, b, a):
@@ -136,7 +152,7 @@ def _cf_tails(x, counts, b, a):
     return tu
 
 
-def _log_continued_fraction(s, w, lw, tables):
+def _log_continued_fraction(t, w, lw, aw):
     """ln(e^w Gamma(s, w)) from Legendre's continued fraction
     Gamma(s, w) = e^{-w} w^s / (w + 1 - s - 1 (1 - s) / (w + 3 - s - ...)),
     by backward recurrence of its N- and (N-1)-term approximants at once,
@@ -144,10 +160,10 @@ def _log_continued_fraction(s, w, lw, tables):
     approximants differ by more than _CF_REL (a NaN or a zero denominator
     among them) are redone with 2N terms; past _MAX_STEPS ArithmeticError
     is raised."""
-    _, _, _, b, a = tables
+    s = t.s
     out = np.empty((s.shape[0], w.size), complex)
     todo = np.arange(w.size)
-    counts = _cf_terms(np.sqrt(0.5 * (np.abs(w) + w.real)))
+    counts = _cf_terms(np.sqrt(0.5 * (aw + w.real)))
     while todo.size:
         order = np.argsort(-counts, kind="stable")
         todo, counts = todo[order], counts[order]
@@ -155,12 +171,11 @@ def _log_continued_fraction(s, w, lw, tables):
         step = max(1, _CF_BLOCK // (s.shape[0] * (int(counts[0]) + 1)))
         for j in range(0, todo.size, step):
             idx = todo[j:j + step]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t, u = _cf_tails(w[idx], counts[j:j + step], b, a)
-                good = ok[j:j + step] = (np.abs(t - u) <= _CF_REL * np.abs(u)).all(axis=0)
-            out[:, idx[good]] = s * lw[idx[good]] - np.log(t[:, good])
+            tn, un = _cf_tails(w[idx], counts[j:j + step], t.b, t.a)
+            good = ok[j:j + step] = (np.abs(tn - un) <= _CF_REL * np.abs(un)).all(axis=0)
+            out[:, idx[good]] = s * lw[idx[good]] - np.log(tn[:, good])
         todo, counts = todo[~ok], counts[~ok]
-        if (counts == _MAX_STEPS).any():
+        if np.count_nonzero(counts == _MAX_STEPS):
             raise ArithmeticError("incomplete gamma continued fraction did not converge")
         counts = np.minimum(2 * counts, _MAX_STEPS)
     return out
@@ -171,13 +186,13 @@ def _log_continued_fraction(s, w, lw, tables):
 _ASYMPTOTIC_AT = [(math.factorial(k + 1) * 1e17) ** (1.0 / k) for k in range(35, 0, -1)]
 
 
-def _log_asymptotic(s, w, lw, tables):
+def _log_asymptotic(t, w, lw, aw):
     """ln(e^w Gamma(s, w)) from Gamma(s, w) ~ w^{s-1} e^{-w} sum_k
     (s-1)...(s-k) / w^k, at each point to the first k at which the bound
     (k+1)! / |w|^k on its terms falls below 1e-17, or to k = 36: with
     |w| >= 40 the terms still shrink there.  A block's terms past a point's
     own count are exact zeros."""
-    aw = np.abs(w)
+    s = t.s
     top, least = (36 - bisect.bisect_left(_ASYMPTOTIC_AT, float(x)) for x in (aw.min(), aw.max()))
     counts = 36 - np.searchsorted(_ASYMPTOTIC_AT, aw) if least < top else None
     k = np.arange(1, top + 1)[:, None, None]
@@ -202,48 +217,63 @@ def log_gamma_upper(s, w, lw):
     folded in so that where Gamma(s, w) ~ e^{-w}, nothing of size |w| is
     added and subtracted again.
     """
-    tables = _s_tables(tuple(s[:, 0].tolist()))
-    out = np.empty((s.shape[0], w.size), complex)
-    aw = np.abs(w)
+    with np.errstate(**_ERRSTATE):
+        return _log_gamma_upper(_s_tables(tuple(s[:, 0].tolist())), w, lw, np.abs(w))
+
+
+def _log_gamma_upper(t, w, lw, aw):
+    """log_gamma_upper for the rows of the tables t, with aw = |w|, under
+    the caller's _ERRSTATE.  Each point goes to one regime; a call that one
+    regime covers goes to it whole."""
     far = aw >= _ASYMPTOTIC_R
-    series = ~far & (aw + w.real < 2.0 * _SERIES_X)
+    series = aw + w.real < 2.0 * _SERIES_X
+    n_far = np.count_nonzero(far)
+    if n_far:
+        if n_far == w.size:
+            return _log_asymptotic(t, w, lw, aw)
+        series &= ~far
+    n_series = np.count_nonzero(series)
+    if not (n_far or n_series):
+        return _log_continued_fraction(t, w, lw, aw)
+    if n_series == w.size:
+        return _log_series(t, w, lw, aw)
+    out = np.empty((t.s.shape[0], w.size), complex)
     for mask, kernel in (
         (series, _log_series),
         (~(far | series), _log_continued_fraction),
         (far, _log_asymptotic),
     ):
-        count = np.count_nonzero(mask)
-        if count == w.size:
-            return kernel(s, w, lw, tables)
-        if count:
-            out[:, mask] = kernel(s, w[mask], lw[mask], tables)
+        if np.count_nonzero(mask):
+            out[:, mask] = kernel(t, w[mask], lw[mask], aw[mask])
     return out
 
 
 def log_sum(terms):
     """ln of the column sums of exp(terms), without overflow, each summed
     row after row in order (for the few rows here a loop costs less than
-    sum_rows).  Warns with CancellationWarning when a sum keeps less than
-    _CANCEL_REL of its largest term."""
-    top = terms.real.max(axis=0)
+    sum_rows); a zero sum gives -inf under the caller's _ERRSTATE.  Warns
+    with CancellationWarning when a sum keeps less than _CANCEL_REL of its
+    largest term."""
+    top = np.maximum.reduce(terms.real, axis=0)
     finite = np.isfinite(top)
-    every = finite.all()
+    every = np.count_nonzero(finite) == top.size
     shift = top if every else np.where(finite, top, 0.0)
     rows = np.exp(terms - shift)
     total = rows[0]
     for row in rows[1:]:
-        total = total + row
+        total += row
     small = np.abs(total) < _CANCEL_REL
-    if small.any() if every else np.any(finite & small):
+    if not every:
+        small &= finite
+    if np.count_nonzero(small):
         warnings.warn(
             "catastrophic cancellation in a sum of %d terms" % terms.shape[0],
             CancellationWarning,
             stacklevel=3,
         )
-    with np.errstate(divide="ignore"):
-        if every:
-            return np.log(total) + shift
-        return np.where(finite, np.log(total) + shift, -np.inf)
+    if every:
+        return np.log(total) + shift
+    return np.where(finite, np.log(total) + shift, -np.inf)
 
 
 def sum_rows(x):

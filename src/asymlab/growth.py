@@ -163,6 +163,8 @@ def _log_mods_chunked(spec: EntireSpec, zs):
     _MAX_PROBES points each.  Every evaluator's value at a point does not
     depend on the other points of its call, so the chunking changes no
     bit."""
+    if zs.size <= _MAX_PROBES:
+        return np.asarray(_log_mods(spec, zs), dtype=float)
     return np.concatenate([
         np.asarray(_log_mods(spec, zs[i:i + _MAX_PROBES]), dtype=float)
         for i in range(0, zs.size, _MAX_PROBES)
@@ -183,10 +185,11 @@ def _refine(g, lo, hi, th, val, tol):
     steps = np.arange(1, _GRID + 1)
     starts = 3 * np.arange(len(th) + 1)
     while True:
-        wide = np.flatnonzero(hi - lo > tol)
+        width = hi - lo
+        wide = (width > tol).nonzero()[0]
         if not wide.size:
             return used
-        h = (hi[wide] - lo[wide]) / (_GRID + 1)
+        h = width[wide] / (_GRID + 1)
         grid = lo[wide, None] + h[:, None] * steps
         vals = g(grid, wide).reshape(grid.shape)
         i = (np.arange(wide.size), vals.argmax(axis=1))
@@ -245,11 +248,11 @@ def _scan(spec, circles, sys_domain):
     for c, (_, a, b, counts, angles) in enumerate(circles):
         vals = vals_all[start:start + angles.size]
         start += angles.size
-        left, right = np.roll(vals, 1), np.roll(vals, -1)
-        if not full:
-            left[0] = right[-1] = -math.inf
+        # each probe's neighbours, cyclic on the full circle only
+        ends = (vals[-1:], vals[:1]) if full else ((-math.inf,), (-math.inf,))
+        padded = np.concatenate([ends[0], vals, ends[1]])
         order = np.argsort(-vals, kind="stable")
-        peaks = ~(left > vals) & ~(right > vals)
+        peaks = ~(padded[:-2] > vals) & ~(padded[2:] > vals)
         picked = order[peaks[order]][:3]
         # a domain's first and last probes wrap to neighbours outside its
         # arcs, which the clamp replaces by the arc ends

@@ -65,7 +65,7 @@ class Series:
     def __call__(self, z):
         """Value at z, a complex number or a numpy array of them (every
         element must lie within the certified radius)."""
-        r = float(np.max(np.abs(z)))
+        r = float(np.max(np.abs(z), initial=0.0))
         if r > self.tail_bound_radius * (1 + 1e-12):
             raise ValueError(
                 "series evaluated at |z|=%g beyond certified radius %g"

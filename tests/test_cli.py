@@ -166,6 +166,28 @@ def test_growth_coarse_cap_exit_2(tmp_path, capsys):
     assert "coarse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f", ["spec", "classic:8"])
+def test_growth_huge_radius_exit_2(tmp_path, capsys, f):
+    # z^3 and |z|^4 overflow a double; both used to exit 4 (ArithmeticError)
+    if f == "spec":
+        run(tmp_path, "construct", "--n", "3", "--a", "poly:1", "--a", "poly:0,1", "--a", "poly:2")
+        args, radii = ["--spec", "funcspec.json"], "1e100,1e110,1e120,1e150,1e200"
+    else:
+        args, radii = ["--f", f], "1e100,1e101,1e102,1e103"
+    capsys.readouterr()
+    assert run(tmp_path, "growth", *args, "--radii", radii, "--out", "g.csv") == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_trace_huge_radius_exit_2_without_csv(tmp_path, capsys):
+    run(tmp_path, "construct", "--n", "3", "--a", "poly:1", "--a", "poly:0,1", "--a", "poly:2")
+    rc = run(tmp_path, "trace", "--spec", "funcspec.json", "--radii", "1,1e103", "--out", "t.csv")
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_growth_single_radius_fails(tmp_path):
     assert run(tmp_path, "growth", "--f", "poly:0,1", "--radii", "5", "--out", "g.csv") == 2
 

@@ -298,6 +298,20 @@ def test_non_finite_radius_raises():
             trace_ray(Constructed(cf), 1, [2.0, bad])
 
 
+def test_huge_radius_raises_instead_of_a_wrong_value():
+    # z^n (construction) and |z|^{n/2} (classic) overflow past these radii;
+    # the scans used to return 237.17 and then -inf, or ArithmeticError
+    cf = ConstructedF(3, (Polynomial([1]), Polynomial([0, 1]), Polynomial([2])))
+    assert max_on_circle(Constructed(cf), 1e102, coarse=64).log_max_mod == pytest.approx(1e306, rel=1e-12)
+    for r in (1e103, 1e104):
+        with pytest.raises(ValueError, match="z\\^3 is not finite"):
+            max_on_circle(Constructed(cf), r, coarse=64)
+        with pytest.raises(ValueError, match="not finite"):
+            trace_ray(Constructed(cf), 1, [2.0, r])
+    with pytest.raises(ValueError, match="not finite"):
+        max_on_circles(Classic(ClassicDCA(8)), [1e99, 1e100], coarse=64)
+
+
 def test_trace_ray_matches_residual_lc():
     # trace_ray evaluates a ray in one array call; residual_lc is its
     # one-point case
