@@ -15,7 +15,6 @@ from .construct import (
     eval_E,
     eval_f,
     eval_phi,
-    eval_residual,
     residual_lc,
 )
 from .geometry import (
@@ -43,7 +42,6 @@ from .growth import (
     InsufficientDynamicRangeError,
     OrderFit,
     Theorem1Report,
-    eval_log,
     fit_order,
     max_on_circle,
     max_on_circles,

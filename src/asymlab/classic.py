@@ -54,8 +54,12 @@ class ClassicDCA:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if self.n < 1:  # a non-number n raises TypeError here
             raise ValueError("n must be >= 1")
+        # bool is an int subclass, and the example needs an integer n
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError("n must be an integer, not %r" % (self.n,))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def series_cutoff_radius(self) -> float:

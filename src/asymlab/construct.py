@@ -226,10 +226,14 @@ class ConstructedF:
     a_list: tuple[TargetFunction, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if self.n < 1:  # a non-number n raises TypeError here
             raise ValueError("n must be >= 1")
+        # bool is an int subclass, and a float n has no construction
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError("n must be an integer, not %r" % (self.n,))
         if len(self.a_list) != self.n:
             raise ValueError("need exactly n target functions")
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "a_list", tuple(self.a_list))
 
     @functools.cached_property
@@ -321,8 +325,3 @@ def residual_lc(z_on_ray: complex, j0: int, cf: ConstructedF) -> LogComplex:
     log_residual."""
     return LogComplex.from_log(log_residual([complex(z_on_ray)], j0, cf)[0])
 
-
-def eval_residual(z_on_ray: complex, j0: int, cf: ConstructedF) -> complex:
-    """f(z) - a_{j0}(z) as an ordinary complex (may underflow to 0 for
-    very large radii; use residual_lc for the log-scale value)."""
-    return residual_lc(z_on_ray, j0, cf).to_complex()

@@ -1,8 +1,8 @@
 """Max-modulus scans, order fitting, ray residual traces, and the
 growth-theorem verification harness.
 
-All modulus bookkeeping is done on log|f| via LogComplex so constructed
-functions of order n can be scanned far past double-precision overflow.
+All modulus bookkeeping is done on log|f| so constructed functions of
+order n can be scanned far past double-precision overflow.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classic import ClassicDCA, log_dca
-from .construct import ConstructedF, eval_f, log_f, log_residual
+from .construct import ConstructedF, log_f, log_residual
 from .geometry import (
     TWO_PI,
     CarlemanReport,
@@ -25,7 +25,7 @@ from .geometry import (
     angular_measure,
     carleman_report,
 )
-from .logcx import LogComplex, wrap_angle
+from .logcx import wrap_angle
 from .specs import Polynomial, Series
 
 _REFINE_TOL = 1e-6  # angular resolution of the grid polish
@@ -51,6 +51,13 @@ class Constructed:
     def declared_order(self) -> float:
         return float(self.cf.n)
 
+    def log_abs(self, zs):
+        return log_f(zs, self.cf).real
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "constructed", "n": self.cf.n,
+                "targets": [t.to_json_dict() for t in self.cf.a_list]}
+
 
 @dataclass(frozen=True)
 class Classic:
@@ -62,73 +69,36 @@ class Classic:
     def declared_order(self) -> float:
         return self.cfg.n / 2.0
 
+    def log_abs(self, zs):
+        return log_dca(zs, self.cfg.n).real
 
+    def to_json_dict(self) -> dict:
+        return {"kind": "classic", "n": self.cfg.n}
+
+
+# every kind answers log_abs(zs), declared_order and to_json_dict(): see specs
 EntireSpec = Polynomial | Series | Constructed | Classic
-
-
-def eval_log(spec: EntireSpec, z: complex) -> LogComplex:
-    """log-scale value of the spec'd entire function at z."""
-    if isinstance(spec, Constructed):
-        return eval_f(z, spec.cf)
-    if isinstance(spec, Classic):
-        return LogComplex.from_log(log_dca([z], spec.cfg.n)[0])
-    return LogComplex.from_complex(spec(z))
 
 
 def _log_mods(spec: EntireSpec, zs):
     """log|f| at each point of the array zs, in one array evaluation."""
-    if isinstance(spec, Constructed):
-        return log_f(zs, spec.cf).real
-    if isinstance(spec, Classic):
-        return log_dca(zs, spec.cfg.n).real
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(spec(np.asarray(zs, dtype=complex))))
-
-
-def declared_order(spec: EntireSpec) -> float:
-    return spec.declared_order
+    return spec.log_abs(zs)
 
 
 # ---------------------------------------------------------------------------
 # funcspec/1 serialization
 
-def _cx_list(cs):
-    return [[c.real, c.imag] for c in cs]
-
-
-def _target_dict(t):
-    if isinstance(t, Polynomial):
-        return {"kind": "poly", "coeffs": _cx_list(t.coeffs)}
-    return {
-        "kind": "series",
-        "coeffs": _cx_list(t.coeffs),
-        "tail_bound_radius": t.tail_bound_radius,
-        "declared_order": t.declared_order,
-    }
-
-
 def spec_to_json_dict(spec: EntireSpec) -> dict:
-    d = {"format": "funcspec/1"}
-    if isinstance(spec, (Polynomial, Series)):
-        d.update(_target_dict(spec))
-    elif isinstance(spec, Classic):
-        d.update(kind="classic", n=spec.cfg.n)
-    else:
-        d.update(
-            kind="constructed",
-            n=spec.cf.n,
-            targets=[_target_dict(t) for t in spec.cf.a_list],
-        )
-    return d
+    return {"format": "funcspec/1", **spec.to_json_dict()}
 
 
 def _target_from_dict(d):
     coeffs = [complex(re, im) for re, im in d["coeffs"]]
     if d["kind"] == "poly":
         return Polynomial(coeffs)
-    return Series(
-        coeffs, d["tail_bound_radius"], d.get("declared_order", float("nan"))
-    )
+    if d["kind"] == "series":
+        return Series(coeffs, d["tail_bound_radius"], d.get("declared_order", float("nan")))
+    raise ValueError("unknown funcspec target kind %r" % d["kind"])
 
 
 def spec_from_json_dict(d: dict) -> EntireSpec:
@@ -472,7 +442,7 @@ def verify_theorem1(
     hyp_flags = tuple(v > 0.0 for v in hyp_max)
     # finite samples cannot see log|f|/|z|^kappa -> 0; when the spec
     # declares an order below kappa the hypothesis is known unmet
-    rho = declared_order(spec)
+    rho = spec.declared_order
     order_ok = math.isnan(rho) or rho >= kappa
     conclusion = min(
         s.log_max_mod / s.r ** (n / 2.0) for s in max_on_circles(spec, radii, coarse=coarse)

@@ -3,6 +3,10 @@
 Only polynomials and truncated power series with a certified tail radius
 are admitted as targets: residual verification needs a computable value
 and a computable error bound at every sample point.
+
+Every kind of entire function growth scans (these two, Constructed and
+Classic) answers log_abs(zs), ln|f| on an array; declared_order; and
+to_json_dict(), its funcspec/1 body.  A new kind is one class.
 """
 
 from __future__ import annotations
@@ -12,8 +16,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _cx_list(cs):
+    return [[c.real, c.imag] for c in cs]
+
+
+class _Coeffs:
+    """Horner evaluation of a coefficient tuple, shared by the target kinds."""
+
+    def __call__(self, z):
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        return acc
+
+    def log_abs(self, zs):
+        """ln|f| at each point of the array zs (-inf at a zero)."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self(np.asarray(zs, dtype=complex))))
+
+
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Coeffs):
     """p(z) = sum coeffs[k] z^k.  Entire of order 0."""
 
     coeffs: tuple
@@ -24,25 +47,15 @@ class Polynomial:
             raise ValueError("polynomial needs at least one coefficient")
 
     @property
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
-    @property
     def declared_order(self) -> float:
         return 0.0
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+    def to_json_dict(self) -> dict:
+        return {"kind": "poly", "coeffs": _cx_list(self.coeffs)}
 
 
 @dataclass(frozen=True)
-class Series:
+class Series(_Coeffs):
     """Truncated power series, trusted only for |z| <= tail_bound_radius.
 
     The truncation error inside that radius is bounded by the magnitude of
@@ -71,10 +84,15 @@ class Series:
                 "series evaluated at |z|=%g beyond certified radius %g"
                 % (r, self.tail_bound_radius)
             )
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return super().__call__(z)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "series",
+            "coeffs": _cx_list(self.coeffs),
+            "tail_bound_radius": self.tail_bound_radius,
+            "declared_order": self.declared_order,
+        }
 
 
 TargetFunction = Polynomial | Series

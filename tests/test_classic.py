@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,14 @@ def test_series_beyond_cutoff_continues_by_quadrature():
 def test_default_cutoff_scales_with_n():
     assert ClassicDCA(2).series_cutoff_radius == pytest.approx(12.0)
     assert ClassicDCA(3).series_cutoff_radius < 6.0
+
+
+def test_n_must_be_an_integer():
+    for n in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            ClassicDCA(n)
+    cfg = ClassicDCA(np.int64(2))
+    assert cfg == ClassicDCA(2) and type(cfg.n) is int
 
 
 def test_validation():

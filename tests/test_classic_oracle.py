@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from asymlab.classic import ClassicDCA, eval_dca, log_dca
-from asymlab.growth import Classic, eval_log
+from asymlab.logcx import LogComplex
 
 
 def _load_oracles():
@@ -123,7 +123,7 @@ def test_past_double_range():
     z = 28.0 * cmath.exp(1j * math.pi / 4)
     with mp.workdps(30):
         want = mp.log(dca_mp(z, 4))
-    lc = eval_log(Classic(ClassicDCA(4)), z)
+    lc = LogComplex.from_log(log_dca([z], 4)[0])
     assert lc.log_mod > 709.8
     assert lc.log_mod == pytest.approx(float(want.real), abs=_tol(784.0))
     assert _arg_err(lc.arg, want.imag) <= _tol(784.0)

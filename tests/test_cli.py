@@ -328,6 +328,28 @@ def test_malformed_funcspec_exit_2(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"format": "funcspec/1", "kind": "constructed", "n": 1,
+          "targets": [{"kind": "bogus", "coeffs": [[1, 0]], "tail_bound_radius": 100}]},
+         "unknown funcspec target kind 'bogus'"),
+        ({"format": "funcspec/1", "kind": "classic", "n": 2.5}, "n must be an integer, not 2.5"),
+        ({"format": "funcspec/1", "kind": "classic", "n": True}, "n must be an integer, not True"),
+        ({"format": "funcspec/1", "kind": "constructed", "n": 1.0,
+          "targets": [{"kind": "poly", "coeffs": [[1, 0]]}]},
+         "n must be an integer, not 1.0"),
+    ],
+)
+def test_invalid_funcspec_value_exit_2(tmp_path, capsys, doc, message):
+    # an unknown target kind or a non-integer n is refused, not read as
+    # something else
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert run(tmp_path, "growth", "--spec", "bad.json", "--radii", "1:20:1") == 2
+    assert "error: %s" % message in capsys.readouterr().err
+    assert not (tmp_path / "growth.csv").exists()
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"format": "pathsystem/1"},  # no paths

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from asymlab.construct import (
     eval_E,
     eval_f,
     eval_phi,
-    eval_residual,
     residual_lc,
 )
 from asymlab.logcx import wrap_angle
@@ -146,13 +146,13 @@ def test_residual_requires_point_on_ray():
         residual_lc(0.0, 1, cf)
 
 
-def test_eval_residual_consistent_with_direct_difference():
+def test_residual_lc_consistent_with_direct_difference():
     # at moderate radius the naive f - a_j is still computable; the
     # restructured residual must agree
     cf = _demo_cf()
     z = 2.0 * cmath.exp(1j * cf.ray_angle(2))
     direct = eval_f(z, cf).to_complex() - z
-    assert abs(eval_residual(z, 2, cf) - direct) <= 1e-8 * max(1.0, abs(direct))
+    assert abs(residual_lc(z, 2, cf).to_complex() - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
 def test_conjugation_symmetry():
@@ -163,6 +163,15 @@ def test_conjugation_symmetry():
         a = eval_f(z, cf).to_complex()
         b = eval_f(z.conjugate(), cf).to_complex()
         assert abs(b - a.conjugate()) <= 1e-9 * max(1.0, abs(a))
+
+
+def test_n_must_be_an_integer():
+    targets = (Polynomial([1]), Polynomial([0, 1]))
+    for n in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            ConstructedF(n, targets[: int(n)])
+    cf = ConstructedF(np.int64(2), targets)
+    assert cf == ConstructedF(2, targets) and type(cf.n) is int
 
 
 def test_n1_trivial_construction():

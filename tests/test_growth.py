@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -13,8 +14,6 @@ from asymlab.growth import (
     Constructed,
     GrowthSample,
     InsufficientDynamicRangeError,
-    declared_order,
-    eval_log,
     fit_order,
     max_on_circle,
     max_on_circles,
@@ -51,8 +50,8 @@ def test_max_on_circle_constructed_dominant_term():
 
 def test_series_target_scan_matches_per_point(monkeypatch):
     # a Series target rides the array scan of a constructed spec; scanning
-    # with every probe evaluated on its own through eval_log gives the
-    # same sample
+    # with every probe evaluated on its own through a one-point log_abs
+    # call gives the same sample
     spec = Constructed(
         ConstructedF(3, (Series([1, 0.5, 0.25j], 10.0), Polynomial([0, 1]), Polynomial([2j])))
     )
@@ -62,7 +61,7 @@ def test_series_target_scan_matches_per_point(monkeypatch):
     with pytest.raises(ValueError, match="beyond certified radius"):
         series(np.array([1.0, 11.0j]))  # one point beyond it
     whole = max_on_circle(spec, 2.5, coarse=64)
-    monkeypatch.setattr(growth, "_log_mods", lambda s, zs: [eval_log(s, z).log_mod for z in zs])
+    monkeypatch.setattr(growth, "_log_mods", lambda s, zs: [s.log_abs([z])[0] for z in zs])
     single = max_on_circle(spec, 2.5, coarse=64)
     assert (whole.r, whole.domain_id, whole.samples_used) == (single.r, single.domain_id, single.samples_used)
     assert whole.log_max_mod == pytest.approx(single.log_max_mod, rel=1e-13)
@@ -335,26 +334,41 @@ def test_trace_ray_type_guard():
         trace_ray(Polynomial([1]), 1, [2.0])
 
 
-def test_eval_log_dispatch_and_declared_order():
-    assert declared_order(Polynomial([1, 2])) == 0.0
-    assert declared_order(Classic(ClassicDCA(3))) == 1.5
+def test_log_abs_and_declared_order():
+    assert Polynomial([1, 2]).declared_order == 0.0
+    assert Classic(ClassicDCA(3)).declared_order == 1.5
     cf = ConstructedF(2, (Polynomial([1]), Polynomial([1])))
-    assert declared_order(Constructed(cf)) == 2.0
+    assert Constructed(cf).declared_order == 2.0
     s = Series([1, 1, 0.5], 5.0, declared_order=1.0)
-    assert eval_log(s, 1.0).log_mod == pytest.approx(math.log(2.5), abs=1e-12)
+    assert s.log_abs([1.0])[0] == pytest.approx(math.log(2.5), abs=1e-12)
 
 
 def test_spec_json_roundtrip():
     cf = ConstructedF(2, (Polynomial([1]), Series([0, 1, 2j], 9.0, 1.0)))
-    for spec in (
-        Polynomial([1, 2j]),
-        Series([1, 0.5], 3.0),
-        Classic(ClassicDCA(3)),
-        Constructed(cf),
-    ):
+    specs = (Polynomial([1, 2j]), Series([1, 0.5], 3.0), Classic(ClassicDCA(3)), Constructed(cf))
+    for spec in specs:
         back = spec_from_json_dict(spec_to_json_dict(spec))
         assert type(back) is type(spec)
         assert spec_to_json_dict(back) == spec_to_json_dict(spec)
+    # the funcspec/1 format itself, key order included (through json, since
+    # a NaN declared_order equals nothing)
+    poly = {"kind": "poly", "coeffs": [[1.0, 0.0]]}
+    series = {"kind": "series", "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
+              "tail_bound_radius": 9.0, "declared_order": 1.0}
+    want = (
+        {"format": "funcspec/1", "kind": "poly", "coeffs": [[1.0, 0.0], [0.0, 2.0]]},
+        {"format": "funcspec/1", "kind": "series", "coeffs": [[1.0, 0.0], [0.5, 0.0]],
+         "tail_bound_radius": 3.0, "declared_order": math.nan},
+        {"format": "funcspec/1", "kind": "classic", "n": 3},
+        {"format": "funcspec/1", "kind": "constructed", "n": 2, "targets": [poly, series]},
+    )
+    for spec, d in zip(specs, want):
+        assert json.dumps(spec_to_json_dict(spec)) == json.dumps(d)
+    # log_abs on an array gives each point the bits of its one-point call
+    zs = np.array([0.5, 1.5 + 2j, -2.5j, 2.0 * cmath.exp(2j), -0.3 + 0.1j])
+    for spec in specs:
+        one = [spec.log_abs([complex(z)])[0] for z in zs]
+        assert spec.log_abs(zs).tobytes() == np.array(one).tobytes()
     # constructed funcspecs written before the closed form carry an unused tol
     old = dict(spec_to_json_dict(Constructed(cf)), tol=1e-8)
     assert spec_from_json_dict(old) == Constructed(cf)
