@@ -39,7 +39,7 @@ import numpy as np
 from .gammainc import _ERRSTATE, _log_gamma_upper, _s_tables, _STables, log_sum
 from .logcx import LogComplex, wrap_angle
 from .quadrature import integrate_segment, truncation_radius
-from .specs import Polynomial, TargetFunction
+from .specs import Polynomial, Series, TargetFunction
 
 ANG_TOL = 1e-9  # angular width of the contour and of the residual's rays
 
@@ -233,6 +233,11 @@ class ConstructedF:
             raise ValueError("n must be an integer, not %r" % (self.n,))
         if len(self.a_list) != self.n:
             raise ValueError("need exactly n target functions")
+        # the construction calls its targets and writes them as funcspec
+        # targets, which only these two kinds are
+        for t in self.a_list:
+            if not isinstance(t, (Polynomial, Series)):
+                raise ValueError("a target must be a Polynomial or a Series, not %r" % (t,))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "a_list", tuple(self.a_list))
 

@@ -112,6 +112,16 @@ class SegmentalPath:
     def _critical(self) -> tuple:
         return tuple(self.critical_radii())
 
+    @cached_property
+    def _crossing_table(self) -> tuple:
+        """Per element (a, d, s_max, qa, hb, aa), the radius-free parts of
+        the crossing quadratic |a + s d|^2 = t^2, that is
+        qa s^2 + 2 hb s + (aa - t^2) = 0."""
+        return tuple(
+            (a, d, s_max, abs(d) ** 2, (a * d.conjugate()).real, abs(a) ** 2)
+            for a, d, s_max in self._elements
+        )
+
     def circle_crossing_angles(self, t: float) -> list:
         """Intersections of the path with |z| = t as (angle, outward)
         pairs, outward being True where |z| increases along the path;
@@ -120,23 +130,30 @@ class SegmentalPath:
         passes a vertex or touches the path, and ValueError where
         _check_radius does."""
         _check_radius("radius", t)
-        if any(abs(c - t) < _DEGEN_EPS * max(t, 1.0) for c in self._critical):
-            raise DegenerateRadiusError(
-                "circle of radius %g passes a vertex of the path or touches it" % t
-            )
+        return self._crossings(t)
+
+    def _crossings(self, t: float) -> list:
+        """circle_crossing_angles at a radius _check_radius has passed."""
+        window = _DEGEN_EPS * max(t, 1.0)
+        for c in self._critical:
+            if abs(c - t) < window:
+                raise DegenerateRadiusError(
+                    "circle of radius %g passes a vertex of the path or touches it" % t
+                )
+        tt = t * t
         angles = []
-        for a, d, s_max in self._elements:
-            # |a + s d| = t as qa s^2 + 2 hb s + (|a|^2 - t^2) = 0
-            qa = abs(d) ** 2
-            hb = (a * d.conjugate()).real
-            disc = hb * hb - qa * (abs(a) ** 2 - t * t)
+        for a, d, s_max, qa, hb, aa in self._crossing_table:
+            disc = hb * hb - qa * (aa - tt)
             if disc <= 0.0:
                 continue
             root = math.sqrt(disc)
             # the smaller root enters the disk, the larger one leaves it
-            for s, outward in (((-hb - root) / qa, False), ((-hb + root) / qa, True)):
-                if 0.0 < s < s_max:
-                    angles.append((wrap_angle(cmath.phase(a + s * d)), outward))
+            s = (-hb - root) / qa
+            if 0.0 < s < s_max:
+                angles.append((wrap_angle(cmath.phase(a + s * d)), False))
+            s = (-hb + root) / qa
+            if 0.0 < s < s_max:
+                angles.append((wrap_angle(cmath.phase(a + s * d)), True))
         return angles
 
     def is_simple(self) -> bool:
@@ -312,25 +329,32 @@ def angular_measure(sys: PathSystem, j: int, t: float) -> AngularSlice:
     """
     _check_radius("radius", t)
     g1, g2 = sys.domain_boundary(j)
-    if g2 is g1:
-        crossings = [(th, True) for th, _ in g1.circle_crossing_angles(t)]
+    return AngularSlice(t, *_arcs(g1._crossings(t), None if g2 is g1 else g2._crossings(t)))
+
+
+def _arcs(left: list, right: list | None) -> tuple:
+    """(arcs, phi) of the domain left of the path with crossings `left` and
+    right of the one with crossings `right` (None where the domain is
+    bounded by one path, whose every arc is inside).  Sorted by angle, the
+    counterclockwise arc from each crossing to the next (the last one wraps
+    to the first) is inside where it starts inside; arcs shorter than 1e-15
+    are skipped, and phi is capped at 2 pi."""
+    if right is None:
+        crossings = [(th, True) for th, _ in left]
     else:
-        crossings = g1.circle_crossing_angles(t)
-        crossings.extend((th, not out) for th, out in g2.circle_crossing_angles(t))
+        crossings = left + [(th, not out) for th, out in right]
     crossings.sort()
     arcs = []
     total = 0.0
+    last = len(crossings) - 1
     for i, (th, starts_inside) in enumerate(crossings):
-        th_next = crossings[(i + 1) % len(crossings)][0]
-        if i + 1 == len(crossings):
-            th_next += TWO_PI
+        th_next = crossings[i + 1][0] if i < last else crossings[0][0] + TWO_PI
         if th_next - th < 1e-15:
             continue
         if starts_inside:
             arcs.append((th, th_next))
             total += th_next - th
-    total = min(total, TWO_PI)
-    return AngularSlice(t, tuple(arcs), total)
+    return tuple(arcs), min(total, TWO_PI)
 
 
 def _phi_near(sys: PathSystem, j: int, t0: float):
@@ -460,14 +484,28 @@ def carleman_report(
 
 def check_sector_inequality(sys: PathSystem, t: float):
     """Cauchy-Schwarz bound sum_j 1/Phi_j(t) >= n^2 / (2 pi); returns
-    (lhs, rhs, holds)."""
+    (lhs, rhs, holds).  Phi_j(t) is angular_measure's, from each path's
+    crossings with |z| = t found once; raises what angular_measure over
+    j = 1..n would raise first, or EmptySliceError for the first j whose
+    Phi_j(t) is 0."""
+    _check_radius("radius", t)
+    n = sys.n
+    # filled in the order the domains first need them, paths[j - 1] then
+    # paths[j % n], so a failure comes where angular_measure's would
+    cache = {}
+
+    def crossings(i):
+        if i not in cache:
+            cache[i] = sys.paths[i]._crossings(t)
+        return cache[i]
+
     lhs = 0.0
-    for j in range(1, sys.n + 1):
-        phi = angular_measure(sys, j, t).phi
+    for j in range(1, n + 1):
+        phi = _arcs(crossings(j - 1), None if n == 1 else crossings(j % n))[1]
         if phi <= 0:
             raise EmptySliceError("domain %d misses the circle at t=%g" % (j, t))
         lhs += 1.0 / phi
-    rhs = sys.n * sys.n / TWO_PI
+    rhs = n * n / TWO_PI
     return lhs, rhs, lhs >= rhs * (1.0 - 1e-9)
 
 

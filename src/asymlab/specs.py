@@ -11,6 +11,7 @@ to_json_dict(), its funcspec/1 body.  A new kind is one class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,8 @@ class Series(_Coeffs):
             "kind": "series",
             "coeffs": _cx_list(self.coeffs),
             "tail_bound_radius": self.tail_bound_radius,
-            "declared_order": self.declared_order,
+            # null where no order is declared: JSON has no NaN
+            "declared_order": None if math.isnan(self.declared_order) else self.declared_order,
         }
 
 

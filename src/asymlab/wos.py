@@ -140,7 +140,9 @@ def _path_distance(pos: np.ndarray, segs: np.ndarray) -> np.ndarray:
     best = np.full(pos.shape, np.inf)
     for a, d, dd in zip(a_s, d_s, dd_s):
         t = ((pos - a) * d.conjugate()).real / dd
-        np.clip(t, 0.0, 1.0, out=t)
+        # t into [0, 1] by two ufunc calls, which cost less than np.clip's wrapper
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
         np.minimum(best, np.abs(pos - (a + t * d)), out=best)
     return best
 

@@ -20,8 +20,10 @@ from asymlab.construct import (
     eval_phi,
     residual_lc,
 )
+from asymlab.classic import ClassicDCA
+from asymlab.growth import Classic
 from asymlab.logcx import wrap_angle
-from asymlab.specs import Polynomial
+from asymlab.specs import Polynomial, Series
 
 # frozen oracles: c_n from Gamma(1 + 1/n), d_n from Gamma(2/n)/n, both
 # independently confirmed by high-resolution quadrature of the defining
@@ -172,6 +174,15 @@ def test_n_must_be_an_integer():
             ConstructedF(n, targets[: int(n)])
     cf = ConstructedF(np.int64(2), targets)
     assert cf == ConstructedF(2, targets) and type(cf.n) is int
+
+
+def test_targets_must_be_polynomial_or_series():
+    # a Classic target used to build, then fail at the first evaluation
+    # with "'Classic' object is not callable"
+    for bad in (Classic(ClassicDCA(2)), 1.0, lambda z: z):
+        with pytest.raises(ValueError, match="Polynomial or a Series"):
+            ConstructedF(2, (bad, Polynomial([1])))
+    ConstructedF(2, (Series([1, 1], 4.0), Polynomial([1])))
 
 
 def test_n1_trivial_construction():

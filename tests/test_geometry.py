@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from asymlab.geometry import (
     _DEGEN_EPS,
+    AngularSlice,
     DegenerateRadiusError,
     EmptySliceError,
     KappaParams,
@@ -24,7 +25,8 @@ from asymlab.geometry import (
     paths_intersect_beyond,
     point_in_domain,
 )
-from asymlab.geometry import _intersect_elements, _phi_near, _smooth_intervals
+from asymlab.geometry import _check_radius, _intersect_elements, _phi_near, _smooth_intervals
+from asymlab.logcx import wrap_angle
 
 from conftest import make_random_system
 
@@ -204,6 +206,105 @@ def test_slices_sum_below_full_circle():
                 angular_measure(sysm, j, t).phi for j in range(1, sysm.n + 1)
             )
             assert total <= 2.0 * math.pi + 1e-9
+
+
+# The crossing, slice and sector routines as they were before the per-path
+# crossing table: references for the bits of every angle, arc, Phi and
+# sector sum, and for each error's type, message and order.
+
+def _reference_crossings(path, t):
+    _check_radius("radius", t)
+    if any(abs(c - t) < _DEGEN_EPS * max(t, 1.0) for c in path.critical_radii()):
+        raise DegenerateRadiusError(
+            "circle of radius %g passes a vertex of the path or touches it" % t
+        )
+    angles = []
+    for a, d, s_max in path._elements:
+        qa = abs(d) ** 2
+        hb = (a * d.conjugate()).real
+        disc = hb * hb - qa * (abs(a) ** 2 - t * t)
+        if disc <= 0.0:
+            continue
+        root = math.sqrt(disc)
+        for s, outward in (((-hb - root) / qa, False), ((-hb + root) / qa, True)):
+            if 0.0 < s < s_max:
+                angles.append((wrap_angle(cmath.phase(a + s * d)), outward))
+    return angles
+
+
+def _reference_measure(sysm, j, t):
+    _check_radius("radius", t)
+    g1, g2 = sysm.domain_boundary(j)
+    if g2 is g1:
+        crossings = [(th, True) for th, _ in _reference_crossings(g1, t)]
+    else:
+        crossings = _reference_crossings(g1, t)
+        crossings.extend((th, not out) for th, out in _reference_crossings(g2, t))
+    crossings.sort()
+    arcs = []
+    total = 0.0
+    for i, (th, starts_inside) in enumerate(crossings):
+        th_next = crossings[(i + 1) % len(crossings)][0]
+        if i + 1 == len(crossings):
+            th_next += 2.0 * math.pi
+        if th_next - th < 1e-15:
+            continue
+        if starts_inside:
+            arcs.append((th, th_next))
+            total += th_next - th
+    return AngularSlice(t, tuple(arcs), min(total, 2.0 * math.pi))
+
+
+def _reference_sector(sysm, t):
+    lhs = 0.0
+    for j in range(1, sysm.n + 1):
+        phi = _reference_measure(sysm, j, t).phi
+        if phi <= 0:
+            raise EmptySliceError("domain %d misses the circle at t=%g" % (j, t))
+        lhs += 1.0 / phi
+    rhs = sysm.n * sysm.n / (2.0 * math.pi)
+    return lhs, rhs, lhs >= rhs * (1.0 - 1e-9)
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as e:  # the type and message are the outcome
+        return "%s: %s" % (type(e).__name__, e)
+
+
+# domain 1 misses every circle inside |z| = 1, where its bounding paths cross
+# 1e-16 rad apart; with the third path, |z| = 0.5 also passes a vertex of
+# path 3, and the sector check must report the empty slice of domain 1 first
+_PINCHED = PathSystem((SegmentalPath.ray(0.0), SegmentalPath([0, cmath.exp(1e-16j)], 1j)))
+_PINCHED3 = PathSystem(_PINCHED.paths + (SegmentalPath([0, 0.5j, 2j], -1),))
+
+
+@pytest.mark.parametrize(
+    "sysm",
+    [pytest.param(make_random_system(seed), id="random%d" % seed) for seed in range(12)]
+    + [pytest.param(PathSystem.equally_spaced_rays(n), id="rays%d" % n) for n in range(1, 7)]
+    + [
+        pytest.param(PathSystem((SegmentalPath.ray(0.0), SegmentalPath.ray(math.pi / 2))), id="quarter"),
+        pytest.param(_L_SYSTEM, id="L"),
+        pytest.param(PathSystem((SegmentalPath([0, 1, 1 + 2j], 1j), SegmentalPath.ray(math.pi))), id="L-cli"),
+        pytest.param(_SWAP, id="swap"),
+        pytest.param(PathSystem((SegmentalPath([0, 3, 2 + 2j, 1j], -1),)), id="multi"),
+        pytest.param(_PINCHED, id="pinched"),
+        pytest.param(_PINCHED3, id="pinched3"),
+    ],
+)
+def test_crossings_slices_and_sectors_keep_their_bits(sysm):
+    radii = list(np.geomspace(1e-3, 1e3, 61)) + [0.0, -1.0, math.nan, math.inf, 1e100, 1e154]
+    for c in sorted({c for p in sysm.paths for c in p.critical_radii()}):
+        radii += [c * (1.0 + k) for k in (0.0, -1e-11, -1e-13, 1e-13, 1e-11)]
+    for t in radii:
+        t = float(t)
+        assert _outcome(check_sector_inequality, sysm, t) == _outcome(_reference_sector, sysm, t)
+        for j in range(1, sysm.n + 1):
+            assert _outcome(angular_measure, sysm, j, t) == _outcome(_reference_measure, sysm, j, t)
+        for p in sysm.paths:
+            assert _outcome(p.circle_crossing_angles, t) == _outcome(_reference_crossings, p, t)
 
 
 # --- Carleman --------------------------------------------------------------

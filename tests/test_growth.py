@@ -8,12 +8,21 @@ import pytest
 from asymlab import growth
 from asymlab.classic import ClassicDCA
 from asymlab.construct import ConstructedF, NotOnRayError, eval_f, residual_lc
-from asymlab.geometry import DegenerateRadiusError, PathSystem, SegmentalPath, angular_measure
+from asymlab.geometry import (
+    DegenerateRadiusError,
+    EmptySliceError,
+    PathSystem,
+    SegmentalPath,
+    angular_measure,
+    carleman_report,
+)
 from asymlab.growth import (
     Classic,
     Constructed,
     GrowthSample,
     InsufficientDynamicRangeError,
+    RadiusCheck,
+    Theorem1Report,
     fit_order,
     max_on_circle,
     max_on_circles,
@@ -24,6 +33,8 @@ from asymlab.growth import (
 )
 from asymlab.logcx import wrap_angle
 from asymlab.specs import Polynomial, Series
+
+from conftest import make_random_system
 
 
 def test_max_on_circle_linear():
@@ -350,20 +361,29 @@ def test_spec_json_roundtrip():
         back = spec_from_json_dict(spec_to_json_dict(spec))
         assert type(back) is type(spec)
         assert spec_to_json_dict(back) == spec_to_json_dict(spec)
-    # the funcspec/1 format itself, key order included (through json, since
-    # a NaN declared_order equals nothing)
+    # the funcspec/1 format itself, key order included, as strict JSON: an
+    # undeclared order is null, since JSON has no NaN
     poly = {"kind": "poly", "coeffs": [[1.0, 0.0]]}
     series = {"kind": "series", "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
               "tail_bound_radius": 9.0, "declared_order": 1.0}
     want = (
         {"format": "funcspec/1", "kind": "poly", "coeffs": [[1.0, 0.0], [0.0, 2.0]]},
         {"format": "funcspec/1", "kind": "series", "coeffs": [[1.0, 0.0], [0.5, 0.0]],
-         "tail_bound_radius": 3.0, "declared_order": math.nan},
+         "tail_bound_radius": 3.0, "declared_order": None},
         {"format": "funcspec/1", "kind": "classic", "n": 3},
         {"format": "funcspec/1", "kind": "constructed", "n": 2, "targets": [poly, series]},
     )
+    def strict(name):
+        raise ValueError("%s is not JSON" % name)
+
     for spec, d in zip(specs, want):
-        assert json.dumps(spec_to_json_dict(spec)) == json.dumps(d)
+        text = json.dumps(spec_to_json_dict(spec))
+        assert text == json.dumps(d)
+        back = spec_from_json_dict(json.loads(text, parse_constant=strict))
+        assert json.dumps(spec_to_json_dict(back)) == text
+    # null and a missing key both read back as no declared order
+    for body in (want[1], {k: v for k, v in want[1].items() if k != "declared_order"}):
+        assert math.isnan(spec_from_json_dict(body).declared_order)
     # log_abs on an array gives each point the bits of its one-point call
     zs = np.array([0.5, 1.5 + 2j, -2.5j, 2.0 * cmath.exp(2j), -0.3 + 0.1j])
     for spec in specs:
@@ -401,6 +421,66 @@ def test_verify_theorem1_classic():
     spec = Classic(ClassicDCA(2))
     rep = verify_theorem1(spec, sysm, 1.0, [5.0, 10.0, 20.0], kappa=0.5, coarse=64)
     assert rep.conclusion_min_ratio > 0
+
+
+def _theorem1_per_circle(spec, sysm, R1, radii, kappa, coarse):
+    """verify_theorem1 scanning each (radius, domain) circle on its own, in
+    that order, and skipping the circles a domain misses: a reference for
+    the lockstep scans per domain."""
+    radii = sorted(float(r) for r in radii)
+    n = sysm.n
+    per_domain = {j: [] for j in range(1, n + 1)}
+    sector_max = {}
+    for r in radii:
+        sector_max[r] = {}
+        for j in range(1, n + 1):
+            try:
+                gs = max_on_circle(spec, r, (sysm, j), coarse=coarse)
+            except EmptySliceError:
+                continue
+            sector_max[r][j] = gs.log_max_mod
+            per_domain[j].append(gs.log_max_mod / r**kappa)
+    hyp_max = tuple(max(per_domain[j]) if per_domain[j] else -math.inf for j in range(1, n + 1))
+    flags = tuple(v > 0.0 for v in hyp_max)
+    rho = spec.declared_order
+    conclusion = min(s.log_max_mod / s.r ** (n / 2.0) for s in max_on_circles(spec, radii, coarse=coarse))
+    checks = []
+    for r in radii:
+        if sector_max[r]:
+            j = max(sector_max[r], key=lambda k: sector_max[r][k])
+            lower = carleman_report(sysm, j, R1, r).logM_lower
+            measured = sector_max[r][j]
+            checks.append(RadiusCheck(r, j, measured, lower, measured >= 0.9 * lower))
+    return Theorem1Report(kappa, n, R1, hyp_max, flags, any(flags) and (math.isnan(rho) or rho >= kappa),
+                          conclusion, conclusion > 0.0, tuple(checks), all(c.consistent for c in checks))
+
+
+# domain 1 of the pinched system misses every circle inside |z| = 1, where
+# its two bounding paths cross |z| = t 1e-16 rad apart
+_PINCHED = PathSystem((SegmentalPath.ray(0.0), SegmentalPath([0, cmath.exp(1e-16j)], 1j)))
+
+
+@pytest.mark.parametrize(
+    "spec, sysm, R1, radii",
+    [(Classic(ClassicDCA(n)), PathSystem.equally_spaced_rays(n), 1.0, [3.0, 5.0, 8.0]) for n in (2, 3, 4)]
+    + [(Classic(ClassicDCA(3)), make_random_system(7), 0.4, [0.6, 1.7, 2.5, 2.5, 6.0]),
+       (Polynomial([1, -2, 0.5j]), _PINCHED, 0.25, [0.5, 0.9, 2.0, 4.0])],
+    ids=["rays2", "rays3", "rays4", "random7", "pinched"],
+)
+def test_verify_theorem1_matches_per_circle_scans(spec, sysm, R1, radii):
+    want = _theorem1_per_circle(spec, sysm, R1, radii, 0.5, 64)
+    assert repr(verify_theorem1(spec, sysm, R1, radii, coarse=64)) == repr(want)
+
+
+def test_verify_theorem1_degenerate_radius():
+    # |z| = 1 passes the pinched system's vertex; the per-circle scans meet
+    # it at the same radius first
+    for radii in ([0.5, 1.0, 2.0], [2.0, 1.0 + 1e-13]):
+        with pytest.raises(DegenerateRadiusError) as got:
+            verify_theorem1(Polynomial([0, 1]), _PINCHED, 0.25, radii, coarse=64)
+        with pytest.raises(DegenerateRadiusError) as want:
+            _theorem1_per_circle(Polynomial([0, 1]), _PINCHED, 0.25, radii, 0.5, 64)
+        assert str(got.value) == str(want.value)
 
 
 def test_verify_theorem1_radii_guard():
