@@ -48,6 +48,7 @@ from .growth import (
     spec_from_json_dict,
     spec_to_json_dict,
     trace_ray,
+    trace_rays,
     verify_theorem1,
 )
 from .logcx import CancellationWarning, LC_ONE, LC_ZERO, LogComplex, lc_add, lc_mul

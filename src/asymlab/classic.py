@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gammainc import _ERRSTATE, _log_gamma_upper, _s_tables, log_sum, sum_rows
+from .gammainc import (
+    _ERRSTATE, _log_gamma_upper, _s_tables, log_sum, polar, sector_angles, sum_rows
+)
 from .quadrature import integrate_segment
 
 _SERIES_S = 2.0  # |S| below which the power series is summed
@@ -94,36 +96,42 @@ def _log_f_series(z, n: int):
 
 
 def log_dca(z, n: int):
-    """ln f at every point of the array z (real part ln|f|, imaginary part
-    arg f), through the generalised sine integral.  Raises ValueError where
-    |z|^{n/2} is not finite."""
+    """ln f at every point of the array z: log_dca_polar at (|z|, arg z)."""
+    z = np.asarray(z, dtype=complex).ravel()
+    return log_dca_polar(*polar(z), n)
+
+
+def log_dca_polar(r, theta, n: int):
+    """ln f at every polar point r e^{i theta} of the arrays r >= 0 and
+    theta (real part ln|f|, imaginary part arg f), through the generalised
+    sine integral with S = z^{n/2} formed from r^{n/2} and n phi / 2, phi
+    the angle from the centre ray of theta's sector.  Raises ValueError
+    where r^{n/2} is not finite."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = np.asarray(z, dtype=complex).ravel()
+    r, theta = np.asarray(r, dtype=float).ravel(), np.asarray(theta, dtype=float).ravel()
     with np.errstate(**_ERRSTATE):
-        r = np.abs(z)
         mod_s = r ** (0.5 * n)  # |S|
         finite = np.isfinite(mod_s)
-        if np.count_nonzero(finite) < z.size:
+        if np.count_nonzero(finite) < r.size:
             raise ValueError(
                 "|z| = %g: |z|^(%d/2) is not finite in double precision" % (r[~finite].min(), n)
             )
         small = mod_s < _SERIES_S
         if not np.count_nonzero(small):
-            return _log_dca_far(z, r, mod_s, n)
-        out = np.empty(z.size, complex)
-        out[small] = _log_f_series(z[small], n)
+            return _log_dca_far(r, theta, mod_s, n)
+        out = np.empty(r.size, complex)
+        out[small] = _log_f_series(r[small] * np.exp(1j * theta[small]), n)
         big = ~small
-        out[big] = _log_dca_far(z[big], r[big], mod_s[big], n)
+        out[big] = _log_dca_far(r[big], theta[big], mod_s[big], n)
         return out
 
 
-def _log_dca_far(z, r, mod_s, n: int):
-    """ln f at the points z with |S| = mod_s >= _SERIES_S, from the Gamma
-    terms, under the caller's _ERRSTATE."""
-    th = np.arctan2(z.imag, z.real)
-    k = np.rint(th * n / (2.0 * math.pi))
-    half = 0.5 * n * (th - 2.0 * math.pi * k / n)  # arg S, in [-pi/2, pi/2]
+def _log_dca_far(r, th, mod_s, n: int):
+    """ln f at the polar points (r, th) with |S| = mod_s >= _SERIES_S, from
+    the Gamma terms, under the caller's _ERRSTATE."""
+    k, phi = sector_angles(th, n)
+    half = 0.5 * n * phi  # arg S, in [-pi/2, pi/2]
     # S from its modulus and argument: through exp(ln S) ln|f| would lose
     # several ulp at |S| in the hundreds
     S = mod_s * np.exp(1j * half)
@@ -136,7 +144,7 @@ def _log_dca_far(z, r, mod_s, n: int):
         lg = _log_gamma_upper(_s_tables((2.0 / n - 1.0,)), w, lw, np.abs(w))[0]
     # the terms A_n, e^{i pi/n} Gamma(s, -iS) / n and e^{-i pi/n} Gamma(s, iS) / n
     c = complex(-math.log(n), math.pi / n)
-    m = z.size
+    m = r.size
     terms = np.empty((3, m), complex)
     terms[0] = _log_a(n)
     np.add(lg[:m], c, out=terms[1])

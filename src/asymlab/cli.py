@@ -38,7 +38,7 @@ from .growth import (
     max_on_circles,
     spec_from_json_dict,
     spec_to_json_dict,
-    trace_ray,
+    trace_rays,
 )
 from .quadrature import QuadratureNonconvergence
 from .specs import Polynomial, Series
@@ -173,9 +173,9 @@ def cmd_trace(args) -> int:
     radii = parse_radii(args.radii)
     if not radii:
         raise UsageError("empty radii list")
-    # every ray is evaluated before the CSV is opened, so a failure leaves
-    # no partial file
-    rows = [(j, r, lg) for j in range(1, spec.cf.n + 1) for r, lg in trace_ray(spec, j, radii)]
+    # every ray is evaluated, in one call, before the CSV is opened, so a
+    # failure leaves no partial file
+    rows = trace_rays(spec, range(1, spec.cf.n + 1), radii)
     out, close = _open_out(args.out)
     try:
         out.write("ray_index,r,log10_abs_residual\n")

@@ -36,7 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gammainc import _ERRSTATE, _log_gamma_upper, _s_tables, _STables, log_sum
+from .gammainc import (
+    _ERRSTATE, _log_gamma_upper, _s_tables, _STables, log_sum, polar, sector_angles
+)
 from .logcx import LogComplex, wrap_angle
 from .quadrature import integrate_segment, truncation_radius
 from .specs import Polynomial, Series, TargetFunction
@@ -152,36 +154,34 @@ def _log_q(n: int, w, lw):
     return out
 
 
-def _q_terms(z, n: int, out):
-    """Sector index k of each z (z = omega^k w^{1/n}, principal root), in
-    [-n/2, n/2], and w = z^n; writes the rows ln(-omega^{km} e^w Q(m/n, w)),
-    m = 1..n-1, into out, with ln w taken on the branch that root requires.
-    Raises ValueError where z^n is not finite."""
+def _q_terms(r, theta, n: int, out):
+    """Sector index k of each polar point z = r e^{i theta} (z = omega^k
+    w^{1/n}, principal root), reduced mod n, and w = z^n; writes the rows
+    ln(-omega^{km} e^w Q(m/n, w)), m = 1..n-1, into out, with
+    ln w = n ln r + i (n theta - 2 pi k) on the branch that root requires.
+    Raises ValueError where r^n is not finite."""
     t = _order_tables(n)
-    th = np.arctan2(z.imag, z.real)
-    nth = th * n
-    k = np.rint(nth / (2.0 * math.pi))
-    w = z**n
-    aw = np.abs(w)
+    aw = r**n
     finite = np.isfinite(aw)
     if np.count_nonzero(finite) < aw.size:
-        bad = np.abs(z[~finite]).min()
-        raise ValueError("|z| = %g: z^%d is not finite in double precision" % (bad, n))
-    want = nth - 2.0 * math.pi * k  # arg w on that branch, in [-pi, pi]
-    arg_w = np.arctan2(w.imag, w.real)
-    arg_w += 2.0 * math.pi * np.rint((want - arg_w) / (2.0 * math.pi))
-    lw = np.log(aw) + 1j * arg_w
-    k = k.astype(int)
+        raise ValueError("|z| = %g: z^%d is not finite in double precision" % (r[~finite].min(), n))
+    k, phi = sector_angles(theta, n)
+    arg_w = n * phi  # in [-pi, pi]
+    lw = n * np.log(r) + 1j * arg_w
+    # w from its modulus and argument, each rounded once
+    w = aw * np.exp(1j * arg_w)
+    k = k.astype(int) % n
     _fill_log_q(out, t, w, lw, aw)
-    out += t.phase[:, k]  # k >= -n indexes column k mod n
+    out += t.phase[:, k]
     return k, w
 
 
 def _log_phi(z: complex, n: int, with_exp: bool):
     """ln phi(z); without e^{z^n}, the Q terms alone: ln E(z)."""
     rows = np.empty((n, 1), complex)  # the Q terms, then e^{z^n}
+    z = np.array([complex(z)])
     with np.errstate(**_ERRSTATE):
-        k, w = _q_terms(np.array([complex(z)]), n, rows[:-1])
+        k, w = _q_terms(*polar(z), n, rows[:-1])
         rows[:-1] -= math.log(n)
         rows[-1] = np.where(k == 0, w, -np.inf)
         return log_sum(rows if with_exp else rows[:-1])[0]
@@ -276,29 +276,38 @@ def _targets(z, cf: ConstructedF):
     return a
 
 
-def _log_f_terms(z, cf: ConstructedF):
+def _log_f_terms(r, theta, cf: ConstructedF):
     """ln of the target a_k(z) (first row) and of the Q terms
-    -A_m(z) omega^{km} Q(m/n, z^n) (one row per m) of f at each z."""
+    -A_m(z) omega^{km} Q(m/n, z^n) (one row per m) of f at each polar point
+    z = r e^{i theta}."""
     n = cf.n
-    a = _targets(z, cf)
+    a = _targets(r * np.exp(1j * theta), cf)
     if n == 1:
         return np.log(a)
-    terms = np.empty((n, z.size), complex)
+    terms = np.empty((n, r.size), complex)
     q = terms[1:]
-    k, w = _q_terms(z, n, q)
+    k, w = _q_terms(r, theta, n, q)
     q += np.log(np.einsum("mj,jn->mn", _order_tables(n).dft, a) / n)  # A_m
     q -= w
-    terms[0] = np.log(a[k - 1, np.arange(z.size)])  # k - 1 >= -n: row k - 1 mod n
+    terms[0] = np.log(a[k - 1, np.arange(r.size)])  # row k - 1 mod n
     return terms
 
 
-def log_f(z, cf: ConstructedF):
-    """ln f at every point of the array z (real part ln|f|, imaginary part
-    arg f), assembled in log space.  Cancellation warnings from the final
-    sum propagate; a point where z^n is not finite raises ValueError."""
-    z = np.asarray(z, dtype=complex).ravel()
+def log_f_polar(r, theta, cf: ConstructedF):
+    """ln f at every polar point r e^{i theta} of the arrays r >= 0 and
+    theta (real part ln|f|, imaginary part arg f), assembled in log space
+    from ln z^n = n ln r + i (n theta - 2 pi k), so that z^n carries no
+    rounding of r e^{i theta}.  Cancellation warnings from the final sum
+    propagate; a point where z^n is not finite raises ValueError."""
+    r, theta = np.asarray(r, dtype=float).ravel(), np.asarray(theta, dtype=float).ravel()
     with np.errstate(**_ERRSTATE):
-        return log_sum(_log_f_terms(z, cf))
+        return log_sum(_log_f_terms(r, theta, cf))
+
+
+def log_f(z, cf: ConstructedF):
+    """ln f at every point of the array z: log_f_polar at (|z|, arg z)."""
+    z = np.asarray(z, dtype=complex).ravel()
+    return log_f_polar(*polar(z), cf)
 
 
 def eval_f(z: complex, cf: ConstructedF) -> LogComplex:
@@ -307,26 +316,36 @@ def eval_f(z: complex, cf: ConstructedF) -> LogComplex:
     return LogComplex.from_log(log_f([complex(z)], cf)[0])
 
 
-def log_residual(z, j0: int, cf: ConstructedF):
-    """ln(f(z) - a_{j0}(z)) at every point of the array z on ray j0: the Q
-    terms of f alone, so nothing near-equal is subtracted.  Raises
-    NotOnRayError when a point is 0 or off the ray by more than ANG_TOL."""
-    if not 1 <= j0 <= cf.n:
+def log_residual_polar(r, theta, j0, cf: ConstructedF):
+    """ln(f - a_{j0}) at every polar point r e^{i theta} on ray j0 (one
+    index, or an array of one per point): the Q terms of f alone, so
+    nothing near-equal is subtracted.  Raises NotOnRayError when a point is
+    0, or off its ray by more than ANG_TOL (r < 0 is off it)."""
+    j0 = np.asarray(j0)
+    if np.count_nonzero((j0 < 1) | (j0 > cf.n)):
         raise ValueError("ray index out of range")
-    z = np.asarray(z, dtype=complex).ravel()
+    r, theta = np.asarray(r, dtype=float).ravel(), np.asarray(theta, dtype=float).ravel()
     if cf.n == 1:
-        return np.full(z.size, -np.inf, complex)
-    if np.any(z == 0):
+        return np.full(r.size, -np.inf, complex)
+    if np.count_nonzero(r == 0):
         raise NotOnRayError("residual undefined at the origin")
-    off = np.angle(z) - cf.ray_angle(j0)
-    if np.any(np.abs(np.remainder(off + math.pi, 2.0 * math.pi) - math.pi) > ANG_TOL):
-        raise NotOnRayError("z is not on ray %d within angular tolerance" % j0)
+    off = np.remainder(theta - (2.0 * math.pi / cf.n) * j0 + math.pi, 2.0 * math.pi) - math.pi
+    bad = (np.abs(off) > ANG_TOL) | (r < 0)
+    if np.count_nonzero(bad):
+        j = int(np.broadcast_to(j0, r.shape)[bad][0])
+        raise NotOnRayError("z is not on ray %d within angular tolerance" % j)
     with np.errstate(**_ERRSTATE):
-        return log_sum(_log_f_terms(z, cf)[1:])
+        return log_sum(_log_f_terms(r, theta, cf)[1:])
+
+
+def log_residual(z, j0: int, cf: ConstructedF):
+    """ln(f(z) - a_{j0}(z)) at every point of the array z on ray j0:
+    log_residual_polar at (|z|, arg z)."""
+    z = np.asarray(z, dtype=complex).ravel()
+    return log_residual_polar(*polar(z), j0, cf)
 
 
 def residual_lc(z_on_ray: complex, j0: int, cf: ConstructedF) -> LogComplex:
     """f(z) - a_{j0}(z) for z on ray j0, in log scale; the one-point case of
     log_residual."""
     return LogComplex.from_log(log_residual([complex(z_on_ray)], j0, cf)[0])
-

@@ -1,5 +1,6 @@
 """The upper incomplete gamma function Gamma(s, w) on numpy arrays, in log
-space, for real s in (-1, 1] and complex w, and log-space column sums.
+space, for real s in (-1, 1] and complex w, log-space column sums, and the
+sector reduction of polar angles.
 
 Both closed forms of the package rest on it: the construction's
 phi = (1/n) E_{1/n} through Gamma(m/n, z^n) / Gamma(m/n), and the classic
@@ -32,6 +33,7 @@ import bisect
 import functools
 import math
 import warnings
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +61,40 @@ _CF_BLOCK = 1 << 14
 # numpy's floating-point flags for one public call: ln 0 = -inf is a value
 # here, and the kernels divide by zero and overflow in values they discard
 _ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
+
+
+# 2 pi - float(2 pi), so that the two carry 2 pi to about 107 bits
+_TWO_PI_LO = 2.4492935982947064e-16
+
+
+@functools.lru_cache(maxsize=64)
+def _sector_step(n: int):
+    """2 pi / n as c1 + c2: c1 with 26 significant bits, so that k c1 is
+    exact for |k| < 2^27, and c2 the rest, from 2 pi to about 107 bits."""
+    c = (Fraction(2.0 * math.pi) + Fraction(_TWO_PI_LO)) / n
+    e = math.frexp(float(c))[1] - 26
+    c1 = math.ldexp(round(math.ldexp(float(c), -e)), e)
+    return c1, float(c - Fraction(c1))
+
+
+def polar(z):
+    """(|z|, arg z) of the complex array z: the one conversion of the
+    z-form evaluators into their polar cores.  hypot, not abs: numpy's
+    complex abs is off by an ulp about once in three, and n such ulps of
+    |z| reach ln z^n."""
+    return np.hypot(z.real, z.imag), np.arctan2(z.imag, z.real)
+
+
+def sector_angles(theta, n: int):
+    """The sector k = rint(n theta / 2 pi) of each angle of the array
+    theta, and phi = theta - 2 pi k / n, its angle from the sector's centre
+    ray, in [-pi/n, pi/n].  theta - k c1 is exact (Sterbenz), so phi is
+    rounded once, where n theta - 2 pi k in doubles would carry the
+    rounding of n theta and about k ulp of 2 pi (Cody and Waite's
+    reduction)."""
+    c1, c2 = _sector_step(n)
+    k = np.rint(theta * (n / (2.0 * math.pi)))
+    return k, (theta - k * c1) - k * c2
 
 
 class _STables(NamedTuple):
@@ -204,7 +240,7 @@ def _log_asymptotic(t, w, lw, aw):
         if counts is not None:
             terms *= k <= counts[j:j + step]
         total[:, j:j + step] = sum_rows(np.cumprod(terms, axis=0))
-    return (s - 1.0) * lw + np.log(1.0 + total)
+    return (s - 1.0) * lw + _log(1.0 + total)
 
 
 def log_gamma_upper(s, w, lw):
@@ -272,8 +308,19 @@ def log_sum(terms):
             stacklevel=3,
         )
     if every:
-        return np.log(total) + shift
-    return np.where(finite, np.log(total) + shift, -np.inf)
+        return _log(total) + shift
+    return np.where(finite, _log(total) + shift, -np.inf)
+
+
+def _log(x):
+    """ln x for the complex array x, as ln|x| + i arg x.  The sums whose
+    log is taken here lie near |x| = 1, where numpy's complex log takes a
+    slow path for the last bits of a small ln|x|; the callers add ln|x| to
+    a shift, so an error of an ulp of 1 is all they can keep."""
+    out = np.empty(x.shape, complex)
+    np.log(np.abs(x), out=out.real)
+    np.arctan2(x.imag, x.real, out=out.imag)
+    return out
 
 
 def sum_rows(x):

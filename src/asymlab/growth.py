@@ -7,15 +7,14 @@ order n can be scanned far past double-precision overflow.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .classic import ClassicDCA, log_dca
-from .construct import ConstructedF, log_f, log_residual
+from .classic import ClassicDCA, log_dca_polar
+from .construct import ConstructedF, log_f_polar, log_residual_polar
 from .geometry import (
     TWO_PI,
     CarlemanReport,
@@ -28,8 +27,9 @@ from .geometry import (
 from .logcx import wrap_angle
 from .specs import Polynomial, Series
 
-_REFINE_TOL = 1e-6  # angular resolution of the grid polish
-_GRID = 32  # polish probes per bracket and step
+_REFINE_TOL = 1e-6  # angular resolution of the grid polish at an arc end
+_VERTEX_WIDTH = 1e-3  # bracket width at which a parabolic vertex ends the polish
+_GRID = 32  # polish probes per bracket and grid step
 _MAX_COARSE = 10**6  # largest coarse probe count of a circle
 # most points one evaluation call of a scan holds: the evaluators'
 # temporaries then stay under about 1 MB however many circles a scan takes,
@@ -51,8 +51,8 @@ class Constructed:
     def declared_order(self) -> float:
         return float(self.cf.n)
 
-    def log_abs(self, zs):
-        return log_f(zs, self.cf).real
+    def log_abs(self, r, theta):
+        return log_f_polar(r, theta, self.cf).real
 
     def to_json_dict(self) -> dict:
         return {"kind": "constructed", "n": self.cf.n,
@@ -69,20 +69,22 @@ class Classic:
     def declared_order(self) -> float:
         return self.cfg.n / 2.0
 
-    def log_abs(self, zs):
-        return log_dca(zs, self.cfg.n).real
+    def log_abs(self, r, theta):
+        return log_dca_polar(r, theta, self.cfg.n).real
 
     def to_json_dict(self) -> dict:
         return {"kind": "classic", "n": self.cfg.n}
 
 
-# every kind answers log_abs(zs), declared_order and to_json_dict(): see specs
+# every kind answers log_abs(r, theta), declared_order and to_json_dict():
+# see specs
 EntireSpec = Polynomial | Series | Constructed | Classic
 
 
-def _log_mods(spec: EntireSpec, zs):
-    """log|f| at each point of the array zs, in one array evaluation."""
-    return spec.log_abs(zs)
+def _log_mods(spec: EntireSpec, r, theta):
+    """log|f| at each polar point r e^{i theta} of the arrays r and theta,
+    in one array evaluation."""
+    return spec.log_abs(r, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -129,50 +131,82 @@ class GrowthSample:
     samples_used: int
 
 
-def _log_mods_chunked(spec: EntireSpec, zs):
-    """log|f| at the points of the array zs, in calls of at most
-    _MAX_PROBES points each.  Every evaluator's value at a point does not
-    depend on the other points of its call, so the chunking changes no
+def _log_mods_chunked(spec: EntireSpec, r, theta):
+    """log|f| at the polar points of the arrays r and theta, in calls of at
+    most _MAX_PROBES points each.  Every evaluator's value at a point does
+    not depend on the other points of its call, so the chunking changes no
     bit."""
-    if zs.size <= _MAX_PROBES:
-        return np.asarray(_log_mods(spec, zs), dtype=float)
+    if theta.size <= _MAX_PROBES:
+        return np.asarray(_log_mods(spec, r, theta), dtype=float)
     return np.concatenate([
-        np.asarray(_log_mods(spec, zs[i:i + _MAX_PROBES]), dtype=float)
-        for i in range(0, zs.size, _MAX_PROBES)
+        np.asarray(_log_mods(spec, r[i:i + _MAX_PROBES], theta[i:i + _MAX_PROBES]), dtype=float)
+        for i in range(0, theta.size, _MAX_PROBES)
     ])
 
 
 def _refine(g, lo, hi, th, val, tol):
-    """Grid refinement of the brackets [lo, hi] to width tol, starting from
-    each circle's best point (lists th, val) so far.  lo and hi hold three
-    brackets per circle, circle c's at 3c..3c+2 (an unused one has width
-    0); all four are updated in place.  Each step calls g (a 2-D array of
-    angles, one row per bracket, and the brackets' indices to an array of
-    values) once, on _GRID equally spaced interior points of every bracket
-    still wider than tol, and narrows each bracket to the neighbours of its
-    best point; a circle takes the best of its brackets, the first of
-    equals.  Returns the number of evaluations per circle."""
-    used = [0] * len(th)
+    """Polish of the brackets [lo, hi], three per circle (circle c's at
+    3c..3c+2, an unused one of width 0), from each circle's best angle and
+    value so far (arrays th, val); all four arrays are updated in place.
+
+    Each step calls g (an array of angles and one of the brackets they
+    belong to, to an array of values) once.  A bracket wider than tol gets
+    _GRID equally spaced interior points and narrows to the neighbours of
+    its best one.  When that leaves it wider than tol but no wider than
+    _VERTEX_WIDTH, and its best point is inside the grid, the bracket's
+    next and last probe is the vertex of the parabola through that point
+    and its two neighbours (successive parabolic interpolation; Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5).  Since
+    that point is at least as high as both neighbours, the vertex lies
+    within half a grid step of it.  A best point at an end of the grid (a
+    maximum at an arc end, a flat circle) keeps the grid until the bracket
+    is no wider than tol, and the vertices ride in its calls.  At each
+    step a circle takes the best value of its brackets, the first of
+    equals, when it beats its best so far.  Returns the number of
+    evaluations per circle."""
+    used = np.zeros(lo.size, int)
     steps = np.arange(1, _GRID + 1)
-    starts = 3 * np.arange(len(th) + 1)
+    first = 3 * np.arange(th.size)
+    top, top_at = np.empty(lo.size), np.empty(lo.size)
+    vertex, at = np.empty(0), np.empty(0, int)  # pending vertices, their brackets
     while True:
-        width = hi - lo
-        wide = (width > tol).nonzero()[0]
-        if not wide.size:
-            return used
-        h = width[wide] / (_GRID + 1)
-        grid = lo[wide, None] + h[:, None] * steps
-        vals = g(grid, wide).reshape(grid.shape)
-        i = (np.arange(wide.size), vals.argmax(axis=1))
-        top_th, top = grid[i], vals[i]
-        bounds = np.searchsorted(wide, starts).tolist()
-        for c, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
-            if b0 < b1:
-                used[c] += _GRID * (b1 - b0)
-                j = b0 + int(top[b0:b1].argmax())
-                if top[j] > val[c]:
-                    th[c], val[c] = float(top_th[j]), float(top[j])
+        wide = (hi - lo > tol).nonzero()[0]
+        if not (wide.size or at.size):
+            return used.reshape(-1, 3).sum(axis=1)
+        lw = lo[wide]
+        h = (hi[wide] - lw) / (_GRID + 1)
+        grid = lw[:, None] + h[:, None] * steps
+        angles = np.concatenate([grid.ravel(), vertex])
+        vals = g(angles, np.concatenate([np.repeat(wide, _GRID), at]))
+        grid_vals = vals[:grid.size].reshape(grid.shape)
+        i = grid_vals.argmax(axis=1)
+        rows = np.arange(wide.size)
+        top_th = grid[rows, i]
+        # each bracket's best new value (-inf where it took no probe)
+        top.fill(-np.inf)
+        top[wide], top_at[wide] = grid_vals[rows, i], top_th
+        if at.size:
+            top[at], top_at[at] = vals[grid.size:], vertex
+            used[at] += 1
+        best = first + top.reshape(-1, 3).argmax(axis=1)
+        up = top[best] > val
+        np.copyto(val, top[best], where=up)
+        np.copyto(th, top_at[best], where=up)
+        used[wide] += _GRID
         lo[wide], hi[wide] = top_th - h, top_th + h
+        width = 2.0 * h
+        k = ((i > 0) & (i < _GRID - 1) & (width > tol) & (width <= _VERTEX_WIDTH)).nonzero()[0]
+        if not k.size:
+            vertex, at = vertex[:0], at[:0]
+            continue
+        ik = i[k]
+        y1 = grid_vals[k, ik]
+        a, b = grid_vals[k, ik - 1] - y1, grid_vals[k, ik + 1] - y1  # a < 0, b <= 0
+        shift = h[k] * (a - b) / (2.0 * (a + b))
+        # NaN where a value is infinite or NaN: the best point itself
+        vertex = top_th[k] + np.where(np.isnan(shift), 0.0, shift)
+        at = wide[k]
+        hi[at] = lo[at]  # closed: the vertex is its last probe
 
 
 class _Circle(NamedTuple):
@@ -210,11 +244,10 @@ def _scan(spec, circles, sys_domain):
     full = sys_domain is None
     rs = np.array([c.r for c in circles], dtype=float)
     sizes = [c.angles.size for c in circles]
-    vals_all = _log_mods_chunked(
-        spec, np.repeat(rs, sizes) * np.exp(1j * np.concatenate([c.angles for c in circles]))
-    )
+    angles_all = np.concatenate([c.angles for c in circles])
+    vals_all = _log_mods_chunked(spec, np.repeat(rs, sizes), angles_all)
     lo, hi = np.zeros(3 * rs.size), np.zeros(3 * rs.size)
-    th, val = [], []
+    th, val = np.empty(rs.size), np.empty(rs.size)
     start = 0
     for c, (_, a, b, counts, angles) in enumerate(circles):
         vals = vals_all[start:start + angles.size]
@@ -233,19 +266,23 @@ def _scan(spec, circles, sys_domain):
             lo_c = np.maximum(lo_c, np.repeat(a, counts)[picked])
             hi_c = np.minimum(hi_c, np.repeat(b, counts)[picked])
         lo[3 * c:3 * c + picked.size], hi[3 * c:3 * c + picked.size] = lo_c, hi_c
-        th.append(float(angles[order[0]]))
-        val.append(float(vals[order[0]]))
+        th[c], val[c] = angles[order[0]], vals[order[0]]
 
     r_bracket = np.repeat(rs, 3)
 
-    def g(grid, brackets):
-        return _log_mods_chunked(spec, (r_bracket[brackets, None] * np.exp(1j * grid)).ravel())
+    def g(angles, brackets):
+        # probes past -pi or pi are wrapped, so that the angle a circle
+        # reports, wrap_angle of its best probe, is the one evaluated
+        if np.abs(angles).max(initial=0.0) >= math.pi:
+            angles = np.where(angles > math.pi, angles - TWO_PI, angles)
+            angles = np.where(angles <= -math.pi, angles + TWO_PI, angles)
+        return _log_mods_chunked(spec, r_bracket[brackets], angles)
 
     used = _refine(g, lo, hi, th, val, _REFINE_TOL)
     domain_id = None if full else sys_domain[1]
     return [
         GrowthSample(c.r, v, wrap_angle(t), domain_id, m + u)
-        for c, v, t, m, u in zip(circles, val, th, sizes, used)
+        for c, v, t, m, u in zip(circles, val.tolist(), th.tolist(), sizes, used.tolist())
     ]
 
 
@@ -264,8 +301,13 @@ def max_on_circles(
     midpoints of equal steps.  The three best local maxima of the probe
     grid (cyclic only on the full circle) are bracketed by their
     neighbouring probes, clamped to the probe's own arc in a domain, and
-    polished on a grid to angular resolution _REFINE_TOL.  samples_used
-    counts every evaluated probe of the circle.
+    polished as _refine says: grid steps of _GRID probes down to a width
+    of _VERTEX_WIDTH, then one parabolic vertex per bracket, or grid steps
+    down to _REFINE_TOL where the best probe stays at an end of its grid.
+    Every probe is a polar point (r, theta), so no evaluator sees a rounded
+    r e^{i theta}, and the reported sample is the best value evaluated,
+    at the angle evaluated.  samples_used counts every evaluated probe of
+    the circle.
 
     The circles are scanned in lockstep, in groups of at most _MAX_PROBES
     coarse probes: one array call evaluates the coarse probes of a group,
@@ -353,17 +395,28 @@ def fit_order(samples) -> OrderFit:
 # ---------------------------------------------------------------------------
 # ray residual traces
 
-def trace_ray(spec: EntireSpec, j: int, radii) -> list:
-    """(r, log10 |f - a_j|) along target ray j of a constructed spec, in one
-    array evaluation."""
+def trace_rays(spec: EntireSpec, rays, radii) -> list:
+    """(j, r, log10 |f - a_j|) for each target ray j of rays and each r of
+    radii, ray after ray, of a constructed spec, in one array evaluation
+    of the polar points (r, angle of ray j)."""
     if not isinstance(spec, Constructed):
         raise TypeError("trace_ray needs a Constructed spec")
     radii = np.asarray(radii, dtype=float).ravel()
     if not np.all(np.isfinite(radii)):
         raise ValueError("radii must be finite")
     cf = spec.cf
-    lg = log_residual(radii * cmath.exp(1j * cf.ray_angle(j)), j, cf).real / math.log(10.0)
-    return [(float(r), float(v)) for r, v in zip(radii, lg)]
+    rays = list(rays)
+    theta = np.repeat([cf.ray_angle(j) for j in rays], radii.size)
+    js = np.repeat(np.array(rays, dtype=int), radii.size)
+    r = np.tile(radii, len(rays))
+    lg = log_residual_polar(r, theta, js, cf).real / math.log(10.0)
+    return list(zip(js.tolist(), r.tolist(), lg.tolist()))
+
+
+def trace_ray(spec: EntireSpec, j: int, radii) -> list:
+    """(r, log10 |f - a_j|) along target ray j of a constructed spec: the
+    one-ray case of trace_rays."""
+    return [(r, lg) for _, r, lg in trace_rays(spec, [j], radii)]
 
 
 # ---------------------------------------------------------------------------

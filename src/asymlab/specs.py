@@ -5,8 +5,9 @@ are admitted as targets: residual verification needs a computable value
 and a computable error bound at every sample point.
 
 Every kind of entire function growth scans (these two, Constructed and
-Classic) answers log_abs(zs), ln|f| on an array; declared_order; and
-to_json_dict(), its funcspec/1 body.  A new kind is one class.
+Classic) answers log_abs(r, theta), ln|f| at the polar points r e^{i theta}
+of two arrays; declared_order; and to_json_dict(), its funcspec/1 body.  A
+new kind is one class.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ class _Coeffs:
             acc = acc * z + c
         return acc
 
-    def log_abs(self, zs):
-        """ln|f| at each point of the array zs (-inf at a zero)."""
+    def log_abs(self, r, theta):
+        """ln|f| at each polar point r e^{i theta} of the arrays r and theta
+        (-inf at a zero)."""
+        z = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(self(np.asarray(zs, dtype=complex))))
+            return np.log(np.abs(self(z)))
 
 
 @dataclass(frozen=True)

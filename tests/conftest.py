@@ -6,8 +6,32 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
+from asymlab import growth
 from asymlab.geometry import PathSystem, SegmentalPath
+
+
+@pytest.fixture(autouse=True)
+def _scans_take_at_most_six_calls(monkeypatch):
+    """No circle scan anywhere in the suite makes more than six evaluator
+    calls: one for its coarse probes (in chunks of at most _MAX_PROBES) and
+    at most five polish steps, as many as the grid-only polish took at
+    coarse 64."""
+    inner = growth._refine
+
+    def counted(g, *args):
+        steps = []
+
+        def g_counted(*a):
+            steps.append(None)
+            return g(*a)
+
+        used = inner(g_counted, *args)
+        assert len(steps) <= 5, "a scan took %d polish steps" % len(steps)
+        return used
+
+    monkeypatch.setattr(growth, "_refine", counted)
 
 
 def make_random_system(seed: int, n: int | None = None) -> PathSystem:

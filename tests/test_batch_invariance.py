@@ -1,6 +1,8 @@
 """Batch invariance: the value that log_gamma_upper, log_dca, log_f and
-log_residual return at a point is, bit for bit, the value of the one-point
-call, whatever else the call evaluates.
+log_residual, and their polar cores log_dca_polar, log_f_polar and
+log_residual_polar, return at a point is, bit for bit, the value of the
+one-point call, whatever else the call evaluates.  The z-forms are their
+cores at (|z|, arg z), bit for bit.
 
 The kernels take each term count from the point itself and sum over terms
 and rows with two-operand einsum contractions, which numpy accumulates one
@@ -16,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlab.classic import log_dca
-from asymlab.construct import ConstructedF, log_f, log_residual
-from asymlab.gammainc import log_gamma_upper
+from asymlab.classic import log_dca, log_dca_polar
+from asymlab.construct import ConstructedF, log_f, log_f_polar, log_residual, log_residual_polar
+from asymlab.gammainc import log_gamma_upper, polar
 from asymlab.specs import Polynomial
 
 # every s the package uses: 2/n - 1 (classic) and m/n (construction)
@@ -100,3 +102,51 @@ def test_log_f_and_log_residual_batch_invariant(n):
             ray = ray * np.exp(1j * cf.ray_angle(j))
             batch = log_residual(ray, j, cf)
             _same_as_alone(batch, lambda i: log_residual(ray[i:i + 1], j, cf)[0], ray.size)
+
+
+def _polar_points(rng, size, r_max):
+    # angles past -pi and pi too, as a scan's brackets reach them
+    r = np.exp(rng.uniform(math.log(0.05), math.log(r_max), size))
+    return r, rng.uniform(-math.pi - 0.2, math.pi + 0.2, size)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_log_dca_polar_batch_invariant(n):
+    r, th = _polar_points(np.random.default_rng(200 + n), 80, 1600.0 ** (1.0 / n))
+    batch = log_dca_polar(r, th, n)
+    _same_as_alone(batch, lambda i: log_dca_polar(r[i:i + 1], th[i:i + 1], n)[0], r.size)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_log_f_and_log_residual_polar_batch_invariant(n):
+    rng = np.random.default_rng(300 + n)
+    cf = _constructed(n, rng)
+    r, th = _polar_points(rng, 80, 2000.0 ** (1.0 / n))
+    with np.errstate(all="ignore"):
+        batch = log_f_polar(r, th, cf)
+        _same_as_alone(batch, lambda i: log_f_polar(r[i:i + 1], th[i:i + 1], cf)[0], r.size)
+        # every ray in one call, as trace_rays makes it
+        j = rng.integers(1, n + 1, 60)
+        rr = np.exp(rng.uniform(math.log(0.05), math.log(2000.0 ** (1.0 / n)), j.size))
+        ray = np.array([cf.ray_angle(int(k)) for k in j])
+        batch = log_residual_polar(rr, ray, j, cf)
+        _same_as_alone(batch, lambda i: log_residual_polar(rr[i:i + 1], ray[i:i + 1], int(j[i]), cf)[0], j.size)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_z_forms_are_their_polar_cores(n):
+    rng = np.random.default_rng(400 + n)
+    z = _points(rng, 80, 2000.0 ** (1.0 / n))
+    r, th = polar(z)
+    assert np.array_equal(r, np.hypot(z.real, z.imag)) and np.array_equal(th, np.angle(z))
+    assert log_dca(z, n).tobytes() == log_dca_polar(r, th, n).tobytes()
+    if n == 1:
+        return
+    cf = _constructed(n, rng)
+    with np.errstate(all="ignore"):
+        assert log_f(z, cf).tobytes() == log_f_polar(r, th, cf).tobytes()
+        for j in (1, n):
+            ray = np.exp(rng.uniform(math.log(0.05), math.log(2000.0 ** (1.0 / n)), 40))
+            ray = ray * np.exp(1j * cf.ray_angle(j))
+            rr, rth = polar(ray)
+            assert log_residual(ray, j, cf).tobytes() == log_residual_polar(rr, rth, j, cf).tobytes()

@@ -135,6 +135,16 @@ def test_trace_csv(tmp_path, capsys):
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_trace_rows_do_not_depend_on_the_other_radii(tmp_path):
+    # all rays go in one evaluation; batch invariance keeps each row's bytes
+    run(tmp_path, "construct", "--n", "3", "--a", "poly:1", "--a", "poly:0,1", "--a", "poly:2")
+    assert run(tmp_path, "trace", "--spec", "funcspec.json", "--radii", "2:5:0.5", "--out", "all.csv") == 0
+    assert run(tmp_path, "trace", "--spec", "funcspec.json", "--radii", "2,3.5,5", "--out", "sub.csv") == 0
+    every = (tmp_path / "all.csv").read_text().splitlines()
+    sub = (tmp_path / "sub.csv").read_text().splitlines()
+    assert len(sub) == 1 + 3 * 3 and set(sub) <= set(every)
+
+
 def test_trace_empty_radii(tmp_path):
     run(tmp_path, "construct", "--n", "2", "--a", "poly:1", "--a", "poly:0,1")
     assert run(tmp_path, "trace", "--spec", "funcspec.json", "--radii", "") == 2

@@ -29,6 +29,7 @@ from asymlab.growth import (
     spec_from_json_dict,
     spec_to_json_dict,
     trace_ray,
+    trace_rays,
     verify_theorem1,
 )
 from asymlab.logcx import wrap_angle
@@ -72,7 +73,9 @@ def test_series_target_scan_matches_per_point(monkeypatch):
     with pytest.raises(ValueError, match="beyond certified radius"):
         series(np.array([1.0, 11.0j]))  # one point beyond it
     whole = max_on_circle(spec, 2.5, coarse=64)
-    monkeypatch.setattr(growth, "_log_mods", lambda s, zs: [s.log_abs([z])[0] for z in zs])
+    monkeypatch.setattr(
+        growth, "_log_mods", lambda s, r, th: [s.log_abs(r[i:i + 1], th[i:i + 1])[0] for i in range(th.size)]
+    )
     single = max_on_circle(spec, 2.5, coarse=64)
     assert (whole.r, whole.domain_id, whole.samples_used) == (single.r, single.domain_id, single.samples_used)
     assert whole.log_max_mod == pytest.approx(single.log_max_mod, rel=1e-13)
@@ -84,9 +87,9 @@ def _counting_log_mods(monkeypatch):
     seen = []
     inner = growth._log_mods
 
-    def counted(spec, zs):
-        seen.append(len(zs))
-        return inner(spec, zs)
+    def counted(spec, r, theta):
+        seen.append(len(theta))
+        return inner(spec, r, theta)
 
     monkeypatch.setattr(growth, "_log_mods", counted)
     return seen
@@ -109,6 +112,151 @@ def test_grid_polish_known_maximum(monkeypatch, coeffs, r, theta, peak):
     assert gs.log_max_mod == pytest.approx(peak, abs=1e-12)
     assert gs.samples_used == sum(seen)
     assert seen[0] == 64 and len(seen) > 1
+
+
+# ln|f| at a probe is within _VALUE_ULP ulp of ln|f| there: the dominant
+# exponent's real part, r^n cos(arg z^n) or r^{n/2} sin(arg z^{n/2}), takes
+# three roundings (the power, the cosine or sine, their product) and the
+# log-space sum two more, each within half an ulp of ln M: 2.5 ulp, taken
+# as 4
+_VALUE_ULP = 4
+
+
+def _nested_dense_max(spec, r, theta, half_width):
+    """The largest ln|f| a nested dense search finds around theta: 401
+    probes over theta +- half_width through the scan's own evaluator, then
+    again over two probe steps about the best probe, six times, down to
+    steps of about 1e-13 half_width."""
+    best, best_th = -math.inf, theta
+    for _ in range(6):
+        th = best_th + np.linspace(-half_width, half_width, 401)
+        vals = spec.log_abs(np.full(th.size, r), th)
+        i = int(vals.argmax())
+        if vals[i] > best:
+            best, best_th = float(vals[i]), float(th[i])
+        half_width *= 4.0 / 400.0
+    return best
+
+
+def _random_constructed(n, seed):
+    rng = np.random.default_rng(seed)
+    return Constructed(ConstructedF(n, tuple(
+        Polynomial(list(rng.normal(size=3) + 1j * rng.normal(size=3))) for _ in range(n)
+    )))
+
+
+MAXIMALITY_CASES = (
+    [(Classic(ClassicDCA(n)), x ** (2.0 / n)) for n in range(2, 9) for x in (40.0, 1000.0)]
+    + [(Classic(ClassicDCA(6)), 20.0), (Classic(ClassicDCA(6)), 40.0), (Classic(ClassicDCA(8)), 12.0)]
+    + [(_random_constructed(n, seed), w ** (1.0 / n)) for n in (2, 3, 4) for seed in (0, 1) for w in (40.0, 1000.0)]
+)
+
+
+@pytest.mark.parametrize("coarse", [64, 256])
+@pytest.mark.parametrize("case", range(len(MAXIMALITY_CASES)))
+def test_scan_reaches_the_peak(case, coarse):
+    # the maximality oracle: around the reported angle no probe beats the
+    # reported maximum by more than the value errors of the two, 2 *
+    # _VALUE_ULP ulp.  The grid-only polish stopped about 1.1e-7 rad from
+    # the peak and missed this bound by 500 to 1300 ulp at coarse 256
+    # (3.8e-9 at classic n = 6, r = 40)
+    spec, r = MAXIMALITY_CASES[case]
+    gs = max_on_circle(spec, r, coarse=coarse)
+    dense = _nested_dense_max(spec, r, gs.argmax_theta, 4.0 * math.pi / coarse)
+    assert dense - gs.log_max_mod <= 2 * _VALUE_ULP * np.spacing(gs.log_max_mod)
+    # the reported maximum is the evaluator's value at the reported angle
+    assert spec.log_abs([r], [gs.argmax_theta])[0] == gs.log_max_mod
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_classic_maximum_at_the_saddle_point(n):
+    # with x = r^{n/2}, s = 2/n - 1 and u = -i z^{n/2}, the dominant term
+    # e^{i pi/n} Gamma(s, u) / n gives ln M(r) = x - (n - 1) ln r - ln n +
+    # ln|1 + (s - 1)/u + (s - 1)(s - 2)/u^2 + ...| at theta = -pi/n + 2 pi k/n,
+    # where u = -x and every term (1 - s)...(q - s)/x^q of the series is
+    # positive.  So the one-correction prediction lies below ln M by the
+    # dropped tail: at least its first term b = (1 - s)(2 - s)/x^2 and, to
+    # the next order, b (1 + 2/x): the next term b (3 - s)/x less a b, with
+    # a = (1 - s)/x the kept correction; 4 b / x covers that order twice.
+    # Summed to its smallest term, the series meets ln M within the value
+    # errors of the two
+    s = 2.0 / n - 1.0
+    for x in (40.0, 100.0, 1000.0, 5000.0):
+        r = x ** (2.0 / n)
+        gs = max_on_circle(Classic(ClassicDCA(n)), r)
+        assert abs(math.remainder(n * gs.argmax_theta / 2.0 + math.pi / 2.0, math.pi)) < 1e-6 * n
+        head = x - (n - 1) * math.log(r) - math.log(n)
+        noise = 2 * _VALUE_ULP * np.spacing(gs.log_max_mod)
+        b = (1.0 - s) * (2.0 - s) / x**2
+        dropped = gs.log_max_mod - (head + math.log1p((1.0 - s) / x))
+        assert b - noise <= dropped <= b * (1.0 + 4.0 / x) + noise
+        term, total, q = (1.0 - s) / x, 0.0, 1
+        while term * (q + 1 - s) / x < term:
+            total += term
+            term *= (q + 1 - s) / x
+            q += 1
+        assert abs(gs.log_max_mod - (head + math.log1p(total))) <= noise
+
+
+def test_interior_peak_takes_four_calls(monkeypatch):
+    # |z + c| on |z| = 2 peaks at arg c = 0.3 alone: coarse probes, two grid
+    # steps (0.196 -> 0.0119 -> 7.2e-4 rad), then the vertex, 4 evaluator
+    # calls where the grid-only polish made 6
+    seen = _counting_log_mods(monkeypatch)
+    gs = max_on_circle(Polynomial([0.7 * cmath.exp(0.3j), 1]), 2.0, coarse=64)
+    assert seen == [64, 32, 32, 1]
+    assert gs.samples_used == 129
+    assert abs(gs.argmax_theta - 0.3) <= 1e-9
+    assert gs.log_max_mod == pytest.approx(math.log(2.7), abs=1e-15)
+
+
+def test_arc_end_maximum_keeps_the_grid(monkeypatch):
+    # |z + c| on domain 1 of three rays, the arc (2 pi/3, 4 pi/3), has its
+    # local maxima at the arc's ends: the best probe stays at the end of
+    # every grid, so both brackets keep grid steps down to _REFINE_TOL
+    # (0.049 -> 6.6e-7 rad in 4 steps) and take no vertex
+    sysm = PathSystem.equally_spaced_rays(3)
+    (a, b), = angular_measure(sysm, 1, 2.0).arcs
+    seen = _counting_log_mods(monkeypatch)
+    # arg c = 1 puts the maximum at the arc's start, arg c = -1 at its end
+    # 4 pi/3, past pi: there the probes are wrapped before evaluation, and
+    # the reported value is the evaluator's at the reported angle
+    for c, end in ((0.7 * cmath.exp(1j), a), (0.7 * cmath.exp(-1j), b)):
+        seen.clear()
+        spec = Polynomial([c, 1])
+        gs = max_on_circle(spec, 2.0, (sysm, 1), coarse=64)
+        assert seen == [64] + [2 * 32] * 4
+        assert abs(wrap_angle(gs.argmax_theta - end)) <= growth._REFINE_TOL
+        edge = math.log(abs(2.0 * cmath.exp(1j * end) + c))
+        assert edge - growth._REFINE_TOL <= gs.log_max_mod <= edge
+        assert spec.log_abs([2.0], [gs.argmax_theta])[0] == gs.log_max_mod
+    # the classic example rises along the arc (2.5, 4) of rays at 0.5, 2.5
+    # and 4 toward its end, where ln|f| changes by about 10 ulp per ulp of
+    # the angle: the value there is the evaluator's at the wrapped angle
+    rays = PathSystem(tuple(SegmentalPath.ray(t) for t in (0.5, 2.5, 4.0)))
+    spec = Classic(ClassicDCA(2))
+    for r in (5.0, 20.0, 30.0):
+        gs = max_on_circle(spec, r, (rays, 2), coarse=64)
+        assert abs(wrap_angle(gs.argmax_theta - 4.0)) <= growth._REFINE_TOL
+        assert spec.log_abs([r], [gs.argmax_theta])[0] == gs.log_max_mod
+
+
+def test_flat_circle_and_narrow_start(monkeypatch):
+    # |z^3| is constant on the circle, up to its rounding: the scan reports
+    # 3 ln r within a few ulp and takes no more calls than the grid polish
+    seen = _counting_log_mods(monkeypatch)
+    gs = max_on_circle(Polynomial([0, 0, 0, 1]), 1.7, coarse=64)
+    assert gs.log_max_mod == pytest.approx(3.0 * math.log(1.7), abs=8 * np.spacing(3.0 * math.log(1.7)))
+    assert 2 <= len(seen) <= 6
+    # at coarse 10^6 the brackets start 1.3e-5 rad wide, under
+    # _VERTEX_WIDTH: one grid step brings them under _REFINE_TOL and no
+    # vertex is evaluated
+    seen.clear()
+    gs = max_on_circle(Polynomial([0.7 * cmath.exp(0.3j), 1]), 2.0, coarse=10**6)
+    coarse_calls = -(-10**6 // growth._MAX_PROBES)
+    assert len(seen) == coarse_calls + 1 and seen[-1] == 32
+    assert gs.samples_used == 10**6 + 32
+    assert gs.log_max_mod == pytest.approx(math.log(2.7), abs=1e-13)
 
 
 def test_argmax_refinement_stable():
@@ -170,7 +318,7 @@ def test_max_on_circle_two_arc_domain():
             gs = max_on_circle(spec, 2.0, (sysm, j), coarse=64)
             assert any((gs.argmax_theta - a) % (2 * math.pi) <= b - a for a, b in arcs)
             probes = np.concatenate([thetas[inside], np.ravel(arcs)])
-            dense = growth._log_mods(spec, 2.0 * np.exp(1j * probes)).max()
+            dense = growth._log_mods(spec, np.full(probes.size, 2.0), probes).max()
             assert gs.log_max_mod == pytest.approx(dense, abs=1e-6)
     assert two_arcs == 2
 
@@ -340,6 +488,25 @@ def test_trace_ray_matches_residual_lc():
         trace_ray(Constructed(cf), 1, [2.0, -1.0])
 
 
+def test_trace_rays_in_one_call(monkeypatch):
+    # every ray in one polar evaluation, each row with the bits of its own
+    # ray's trace; r <= 0 raises as the one-ray traces do
+    cf = ConstructedF(3, (Polynomial([1, 0.5]), Polynomial([2j]), Polynomial([0.3, 0, 1])))
+    radii = [0.4, 1.1, 3.0, 5.5]
+    calls = []
+    inner = growth.log_residual_polar
+    monkeypatch.setattr(growth, "log_residual_polar", lambda *a: calls.append(None) or inner(*a))
+    rows = trace_rays(Constructed(cf), [1, 2, 3], radii)
+    assert len(calls) == 1
+    assert rows == [(j, r, lg) for j in (1, 2, 3) for r, lg in trace_ray(Constructed(cf), j, radii)]
+    with pytest.raises(NotOnRayError, match="residual undefined at the origin"):
+        trace_rays(Constructed(cf), [1, 2], [2.0, 0.0])
+    with pytest.raises(NotOnRayError, match="z is not on ray 2 within angular tolerance"):
+        trace_rays(Constructed(cf), [2, 3], [2.0, -1.0])
+    with pytest.raises(ValueError, match="ray index out of range"):
+        trace_rays(Constructed(cf), [1, 4], [2.0])
+
+
 def test_trace_ray_type_guard():
     with pytest.raises(TypeError):
         trace_ray(Polynomial([1]), 1, [2.0])
@@ -351,7 +518,7 @@ def test_log_abs_and_declared_order():
     cf = ConstructedF(2, (Polynomial([1]), Polynomial([1])))
     assert Constructed(cf).declared_order == 2.0
     s = Series([1, 1, 0.5], 5.0, declared_order=1.0)
-    assert s.log_abs([1.0])[0] == pytest.approx(math.log(2.5), abs=1e-12)
+    assert s.log_abs([1.0], [0.0])[0] == pytest.approx(math.log(2.5), abs=1e-12)
 
 
 def test_spec_json_roundtrip():
@@ -386,9 +553,10 @@ def test_spec_json_roundtrip():
         assert math.isnan(spec_from_json_dict(body).declared_order)
     # log_abs on an array gives each point the bits of its one-point call
     zs = np.array([0.5, 1.5 + 2j, -2.5j, 2.0 * cmath.exp(2j), -0.3 + 0.1j])
+    r, th = np.abs(zs), np.angle(zs)
     for spec in specs:
-        one = [spec.log_abs([complex(z)])[0] for z in zs]
-        assert spec.log_abs(zs).tobytes() == np.array(one).tobytes()
+        one = [spec.log_abs(r[i:i + 1], th[i:i + 1])[0] for i in range(zs.size)]
+        assert spec.log_abs(r, th).tobytes() == np.array(one).tobytes()
     # constructed funcspecs written before the closed form carry an unused tol
     old = dict(spec_to_json_dict(Constructed(cf)), tol=1e-8)
     assert spec_from_json_dict(old) == Constructed(cf)
