@@ -1,10 +1,14 @@
 import cmath
+import functools
+import hashlib
 import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import from_float, from_int, mpf_cos_sin, mpf_mul, mpf_pi, mpf_shift, mpf_sub, to_float
 from numpy.random import Generator, Philox
 
 from asymlab import wos
@@ -14,9 +18,9 @@ from asymlab.wos import (
     WosConfig,
     WosEstimate,
     _boundary_segments,
-    _path_distance,
-    _angles,
+    _distances,
     _philox_words,
+    _unit_steps,
     estimate_harmonic_measure,
 )
 
@@ -177,14 +181,33 @@ def test_huge_radius_scales_or_raises():
             estimate_harmonic_measure(rays, 1, R, (2 - 2j) * R / 8, cfg)
 
 
+def test_tiny_radius_scales():
+    """Two rays, scaled with R down to 2**-1000: the estimate is R = 8's.
+    Below R = 2**-300 the walk runs in coordinates scaled by 2**600; in
+    plain coordinates the squared distances would underflow, and from R
+    near 1e-200 on the start point would read as inside the shell."""
+    rays = PathSystem.equally_spaced_rays(2)
+    cfg = WosConfig(20000, seed=7)
+    want = estimate_harmonic_measure(rays, 1, 8.0, 2 - 2j, cfg)
+    for R in (1e-80, 1e-100, 1e-200, 1e-300, 2.0**-1000):
+        got = estimate_harmonic_measure(rays, 1, R, (2 - 2j) * R / 8, cfg)
+        assert repr(got) == repr(want), R
+
+
 # --- the Philox stream --------------------------------------------------------
+
+def uniform_angles(words):
+    """Raw words as angles in [0, 2π), as ``Generator.uniform(0, 2π)`` turns
+    them: 0.0 + 2π·((x >> 11)·2⁻⁵³), where adding 0.0 to u >= 0 is exact."""
+    return 2.0 * math.pi * ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+
 
 @pytest.mark.filterwarnings("error")  # a uint64 scalar overflow warning fails
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 3, 2**63 - 1])
 def test_philox_kernel_matches_numpy_stream(seed):
     walks = np.array([0, 1, 63, 64, 2**32 + 1], dtype=np.uint64)
     got = np.concatenate(
-        [_angles(_philox_words(np.full(walks.size, c, dtype=np.uint64), seed, walks)) for c in range(1, 17)]
+        [uniform_angles(_philox_words(np.full(walks.size, c, dtype=np.uint64), seed, walks)) for c in range(1, 17)]
     )
     assert got.shape == (64, walks.size)
     for col, i in enumerate(walks.tolist()):
@@ -208,7 +231,7 @@ def test_philox_kernel_block_edges(seed, counter):
     walks = np.uint64(2**31) + np.cumsum(gaps, dtype=np.uint64)  # near 2**32 at walks[B]
     assert walks[0] < 2**32 < walks[-1]
     words = _philox_words(np.full(walks.size, counter, dtype=np.uint64), seed, walks)
-    angles = _angles(words)
+    angles = uniform_angles(words)
     assert words.shape == angles.shape == (4, walks.size)
     for col in sorted({0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 6}):
         bits = Philox(key=[seed, int(walks[col])])
@@ -236,17 +259,92 @@ def test_philox_kernel_mixed_counters(seed):
         assert words[:, col].tobytes() == bits.random_raw(4).tobytes()
 
 
+# --- unit steps -----------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def cell_centres():
+    """(cos, sin) of the 64 cell centres π(2c + 1)/64, correctly rounded
+    from 40-digit mpmath values."""
+    with mpmath.workdps(40):
+        return tuple(
+            np.array([float(f(mpmath.pi * (2 * c + 1) / 64)) for c in range(64)])
+            for f in (mpmath.cos, mpmath.sin)
+        )
+
+
+def reference_unit_steps(words):
+    """The documented map from words to unit steps by a second route: m =
+    word >> 11 as an integer, the offset x = (r − 2⁴⁶)·(2π·2⁻⁵³) from an
+    exact integer-to-float conversion, and the cell table from mpmath."""
+    m = words >> np.uint64(11)
+    cos_c, sin_c = (tab[(m >> np.uint64(47)).astype(np.intp)] for tab in cell_centres())
+    x = ((m & np.uint64(2**47 - 1)).astype(np.float64) - 2.0**46) * (2.0 * math.pi * 2.0**-53)
+    x2 = x * x
+    sin_x = x + x * (x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0))))
+    cos_m1 = x2 * (-0.5 + x2 * (1.0 / 24.0 + x2 * (-1.0 / 720.0 + x2 * (1.0 / 40320.0))))
+    return cos_c + (cos_c * cos_m1 - sin_c * sin_x), sin_c + (sin_c * cos_m1 + cos_c * sin_x)
+
+
+def oracle_words():
+    """10⁵ Philox words, words 0 and 2⁶⁴ − 1, and each cell's two edges and
+    centre, the upper edge with the 11 discarded bits set."""
+    m = np.arange(64, dtype=np.uint64) << np.uint64(47)
+    edges = np.concatenate([m << np.uint64(11), ((m + np.uint64(2**47 - 1)) << np.uint64(11)) | np.uint64(0x7FF)])
+    centres = (m + np.uint64(2**46)) << np.uint64(11)
+    words = np.concatenate([Philox(24).random_raw(10**5), np.array([0, 2**64 - 1], dtype=np.uint64), edges, centres])
+    return words, centres
+
+
+def test_cell_table_is_correctly_rounded():
+    with mpmath.workdps(40):
+        for c in range(64):
+            theta = mpmath.pi * (2 * c + 1) / 64
+            for got, want in ((wos._CELL_COS[c], mpmath.cos(theta)), (wos._CELL_SIN[c], mpmath.sin(theta))):
+                assert abs(mpmath.mpf(float(got)) - want) <= math.ulp(got) / 2, (c, got)
+
+
+def test_unit_step_oracle():
+    """Each step lies within 3e-16 of e^{iθ}, θ = 2π·m·2⁻⁵³, and its modulus
+    within 2.3e-16 of 1 (1.46e-16 and 1.42e-16 measured at most over these
+    words): per component, half an ulp of the table entry and the final
+    rounding bound the error by about 1.7e-16.  At a cell centre x = 0 and
+    the step is the table entry."""
+    words, centres = oracle_words()
+    ux, uy = _unit_steps(words)
+    want_x, want_y = reference_unit_steps(words)
+    assert ux.tobytes() == want_x.tobytes() and uy.tobytes() == want_y.tobytes()
+    cx, cy = _unit_steps(centres)
+    assert cx.tobytes() == wos._CELL_COS.tobytes() and cy.tobytes() == wos._CELL_SIN.tobytes()
+    prec = 80
+    scale = mpf_shift(mpf_pi(prec), -52)  # 2π·2⁻⁵³
+    ex, ey = [], []
+    worst_modulus = 0.0
+    for w, x, y in zip(words.tolist(), ux.tolist(), uy.tolist()):
+        c, s = mpf_cos_sin(mpf_mul(scale, from_int(w >> 11), prec), prec)
+        ex.append(to_float(mpf_sub(from_float(x), c, prec)))
+        ey.append(to_float(mpf_sub(from_float(y), s, prec)))
+        # |u|² − 1 exactly, as a ratio of integers; |u| − 1 is half of it
+        # to within a relative 1e-15
+        (nx, dx), (ny, dy) = x.as_integer_ratio(), y.as_integer_ratio()
+        k = max(dx, dy)
+        excess = (nx * (k // dx)) ** 2 + (ny * (k // dy)) ** 2 - k * k
+        worst_modulus = max(worst_modulus, abs(excess / (k * k)) / 2)
+    assert np.hypot(ex, ey).max() <= 3e-16
+    assert worst_modulus <= 2.3e-16
+    digest = hashlib.sha256(ux.tobytes() + uy.tobytes()).hexdigest()
+    assert digest == "e780f36312cc0e22e9ac87021785f2acb44f154855c60b855f7d5b581fe88128"
+
+
 # --- the distance kernel ------------------------------------------------------
 
-def broadcast_path_distance(pos, segs):
-    """The (points × segments) broadcast form of _path_distance: a
-    reference for its bits."""
-    a = segs[:, 0][None, :]
-    d = (segs[:, 1] - segs[:, 0])[None, :]
-    p = pos[:, None]
-    t = ((p - a) * d.conjugate()).real / (d * d.conjugate()).real
-    np.clip(t, 0.0, 1.0, out=t)
-    return np.abs(p - (a + t * d)).min(axis=1)
+def broadcast_distances(x, y, segs, R):
+    """The (points × segments) broadcast form of _distances, with the root
+    taken before the least: a reference for its bits."""
+    ax, ay, dx, dy, dd = (np.array(col)[None, :] for col in zip(*segs))
+    qx, qy = x[:, None] - ax, y[:, None] - ay
+    t = np.clip((qx * dx + qy * dy) / dd, 0.0, 1.0)
+    ex, ey = qx - t * dx, qy - t * dy
+    return np.sqrt(ex * ex + ey * ey).min(axis=1), R - np.sqrt(x * x + y * y)
 
 
 @pytest.mark.parametrize(
@@ -263,33 +361,36 @@ def broadcast_path_distance(pos, segs):
     + [pytest.param(_boundary_segments(QSYS, 1, 8.0), id="quarter")],
 )
 def test_path_distance_matches_broadcast_bits(segs):
-    assert segs.shape[1] == 2 and segs.shape[0] in (2, 4)
-    rng = np.random.default_rng(segs.shape[0])
-    random_pts = rng.uniform(-9.0, 9.0, 5001) + 1j * rng.uniform(-9.0, 9.0, 5001)
-    a, b = segs[:, 0], segs[:, 1]
+    assert len(segs) in (2, 4) and all(len(seg) == 5 for seg in segs)
+    rng = np.random.default_rng(len(segs))
+    random_pts = rng.uniform(-9.0, 9.0, (2, 5001))
+    ax, ay, dx, dy, _ = (np.array(col) for col in zip(*segs))
     t = np.linspace(0.0, 1.0, 33)
-    on_segments = (a[:, None] + t[None, :] * (b - a)[:, None]).ravel()
-    for pos in (random_pts, on_segments, np.concatenate([a, b]), np.array([0.3 + 0.2j])):
-        assert _path_distance(pos, segs).tobytes() == broadcast_path_distance(pos, segs).tobytes()
-    assert np.all(_path_distance(a, segs) == 0.0)
+    on_segments = np.array([(ax[:, None] + t * dx[:, None]).ravel(), (ay[:, None] + t * dy[:, None]).ravel()])
+    starts = np.array([ax, ay])
+    for x, y in (random_pts, on_segments, starts, np.array([[0.3], [0.2]])):
+        got, want = _distances(x, y, segs, 8.0), broadcast_distances(x, y, segs, 8.0)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert np.all(_distances(ax, ay, segs, 8.0)[0] == 0.0)
 
 
 def reference_estimate(sys, j, R, z1, cfg):
-    """Walk-on-spheres with one numpy Generator(Philox(key=[seed, i])) per
-    walk and 64 draws buffered per walk: a reference for the array
-    kernel's streams and loop.  Returns the estimate and the rounds run."""
+    """Walk-on-spheres with one numpy Philox(key=[seed, i]) per walk, 64 raw
+    words buffered per walk and turned into steps by reference_unit_steps,
+    and distances by broadcast_distances: a reference for the array
+    kernel's streams, steps and loop.  Returns the estimate and the rounds
+    run."""
     segs = _boundary_segments(sys, j, R)
     shell = cfg.eps_shell * R
     n = cfg.n_walks
-    gens = [Generator(Philox(key=[cfg.seed, i])) for i in range(n)]
-    buf = np.array([g.uniform(0.0, 2.0 * math.pi, 64) for g in gens])
-    pos = np.full(n, complex(z1), dtype=complex)
+    gens = [Philox(key=[cfg.seed, i]) for i in range(n)]
+    buf = np.array([g.random_raw(64) for g in gens])
+    x, y = np.full(n, complex(z1).real), np.full(n, complex(z1).imag)
     alive = np.arange(n)
     hits = 0
     for step in range(cfg.max_steps):
-        p = pos[alive]
-        d_path = _path_distance(p, segs)
-        d_circ = R - np.abs(p)
+        px, py = x[alive], y[alive]
+        d_path, d_circ = broadcast_distances(px, py, segs, R)
         rad = np.minimum(d_path, d_circ)
         absorbed = rad < shell
         if absorbed.any():
@@ -297,13 +398,14 @@ def reference_estimate(sys, j, R, z1, cfg):
             alive = alive[~absorbed]
             if alive.size == 0:
                 break
-            p = pos[alive]
-            rad = rad[~absorbed]
+            px, py, rad = px[~absorbed], py[~absorbed], rad[~absorbed]
         col = step % 64
         if step and col == 0:
             for i in alive:
-                buf[i] = gens[i].uniform(0.0, 2.0 * math.pi, 64)
-        pos[alive] = p + rad * np.exp(1j * buf[alive, col])
+                buf[i] = gens[i].random_raw(64)
+        ux, uy = reference_unit_steps(buf[alive, col])
+        x[alive] = px + rad * ux
+        y[alive] = py + rad * uy
     truncated = int(alive.size)
     omega_hat = hits / n
     ci = 1.96 * math.sqrt(omega_hat * (1.0 - omega_hat) / n)
@@ -342,6 +444,57 @@ def test_matches_per_walk_generator_reference(kinked, cfg):
         assert "walks hit the step cap" in got.warning
 
 
+# The estimates' bytes, fixed: the walks use IEEE + − × ÷ √ alone, so they
+# hold on every IEEE-754 numpy build, and CI asserts them with numpy's SIMD
+# loops switched on and off.  The step-cap estimate's truncation count
+# turns on rounding-level distances, so it moves with any change of the
+# arithmetic.
+@pytest.mark.parametrize(
+    "sysm, z1, cfg, want",
+    [
+        pytest.param(
+            QSYS, 2 + 2j, WosConfig(20000, seed=9),
+            "WosEstimate(omega_hat=0.1551, ci95_halfwidth=0.005017063842448091, hits=3102, truncated_walks=0, "
+            "warning=None)",
+            id="quarter",
+        ),
+        pytest.param(
+            PathSystem.equally_spaced_rays(3), -2 + 0j, WosConfig(20000, seed=503),
+            "WosEstimate(omega_hat=0.15815, ci95_halfwidth=0.005057000886513665, hits=3163, truncated_walks=0, "
+            "warning=None)",
+            id="rays3",
+        ),
+        pytest.param(
+            make_random_system(1003), None, WosConfig(20000, seed=1003),
+            "WosEstimate(omega_hat=0.1135, ci95_halfwidth=0.004396209437686062, hits=2270, truncated_walks=0, "
+            "warning=None)",
+            id="random1003",
+        ),
+        pytest.param(
+            QSYS, 0.35 + 0.35j, WosConfig(2000, eps_shell=1e-20, max_steps=100, seed=1),
+            "WosEstimate(omega_hat=0.005, ci95_halfwidth=0.0030912748179351512, hits=10, truncated_walks=140, "
+            "warning='140 of 2000 walks hit the step cap; estimate is biased low')",
+            id="step-cap",
+        ),
+    ],
+)
+def test_estimate_bytes_are_pinned(sysm, z1, cfg, want):
+    if z1 is None:
+        z1 = domain_probe_point(sysm, 1, 1.0)
+    assert repr(estimate_harmonic_measure(sysm, 1, 8.0, z1, cfg)) == want
+
+
+def test_distance_bytes_are_pinned():
+    """Distances of 2 000 points to both domains of three kinked systems."""
+    digest = hashlib.sha256()
+    x, y = np.random.default_rng(14).uniform(-9.0, 9.0, (2, 2000))
+    for s in (0, 17, 1003):
+        for j in (1, 2):
+            for d in _distances(x, y, _boundary_segments(make_random_system(s), j, 8.0), 8.0):
+                digest.update(d.tobytes())
+    assert digest.hexdigest() == "8fc0cfd1857e9b112e67e2cdd974f07bb6a001a076f75cca590dc839362dde83"
+
+
 @pytest.mark.parametrize(
     "kinked, cfg",
     [
@@ -375,10 +528,11 @@ def test_kernel_slice_size_never_changes_estimate(monkeypatch, kinked, cfg):
 
 
 def test_peak_memory_of_large_estimate():
-    """Traced peak of a 100k-walk estimate: 2.90 MB measured with numpy
-    2.4, the same at 20k and 400k walks, since at most _BLOCK walks are
-    live.  Bounded at 4 MB, a margin of 1.1 MB for other numpy builds;
-    with every walk live at once the 100k walks peaked at 12.9 MB."""
+    """Traced peak of a 100k-walk estimate: 3.30 MB measured with numpy
+    2.4 (2.90 MB with complex positions), the same at 400k walks, since at
+    most _BLOCK walks are live.  Bounded at 4 MB, a margin of 0.7 MB for
+    other numpy builds; with every walk live at once the 100k walks peaked
+    at 12.9 MB."""
     z1 = 3.0 * cmath.exp(1j * 0.6)
     for n_walks in (100_000, 400_000):
         tracemalloc.start()
