@@ -31,20 +31,29 @@ dozen uint64 temporaries alive; over 100 000 walks at once each would take
 128 KB each and stay inside a 2 MB L2.  A call also has a fixed cost of
 about 2 000 walks' blocks, so once every walk has started, a pool of at
 most _BLOCK // 16 walks draws k blocks per call, up to _BLOCK // 8 (walk,
-counter) pairs.  Memory is O(_BLOCK) however many walks run, and 10⁷
-walks take about 9.5 s on a 2-core Xeon.  A walk's
-draws and moves depend only on its own index and move count, and the hit
-and truncation counts are integer sums over walks, so neither the pool nor
-k ever changes a bit.  A block of draws stays fixed until the next kernel
-call: absorptions compact an index of each live walk's column into it.
-Each round turns only the lane in use into steps, so the draws of walks
+counter) pairs.  A block of draws stays fixed until the next kernel call:
+absorptions compact an index of each live walk's column into it.  Each
+round turns only the lane in use into steps, so the draws of walks
 absorbed before their lane comes up are never converted.
+
+An estimate of more than _MIN_PART walks splits the walk indices into
+contiguous ranges, at most one per usable core: the caller walks the first
+range in its own pool, and persistent helper processes, forked on the first
+split, walk the others and send back their counts.  A walk's draws and
+moves depend only on its own index and move count, and the hit and
+truncation counts are integer sums over walks, so neither the pool, nor k,
+nor the number of ranges ever changes a bit.  Memory is O(_BLOCK) in each
+process however many walks run, and 10⁷ walks take about 5.5 s on a
+2-core Xeon (9.9 s on one of its cores).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +99,10 @@ for _table in (_CELL_COS, _CELL_SIN):
 # Live walks in the pool, chosen by measurement: the dozen uint64 temporaries
 # of a kernel call, 128 KB each, fit a 2 MB L2 cache together.
 _BLOCK = 16384
-_MAX_WALKS = 10**7  # largest n_walks: it bounds the run time, about 9.5 s on a 2-core Xeon
+_MAX_WALKS = 10**7  # largest n_walks: it bounds the run time, about 5.5 s on a 2-core Xeon
+# An estimate of at most _MIN_PART walks runs in the caller alone: below it
+# the domain workload's median op read higher with a helper's hand-off.
+_MIN_PART = 50_000
 
 
 class StartOutsideDomainError(ValueError):
@@ -192,12 +204,13 @@ def _distances(x: np.ndarray, y: np.ndarray, segs: list, R: float):
     return np.sqrt(best, out=best), d_circ
 
 
-def _mulhi(m: int, x: np.ndarray) -> np.ndarray:
+def _mulhi(m: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """High 64-bit words of the 128-bit products m·x, by a carry chain over
-    the 32-bit halves in which every partial sum stays below 2**64."""
+    the 32-bit halves in which every partial sum stays below 2**64; written
+    into `out` if given, which must not share memory with x."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     lo = x & _LOW32
-    hi = x >> _U32
+    hi = np.right_shift(x, _U32, out=out)
     t = lo * m_hi
     lo *= m_lo
     lo >>= _U32
@@ -234,19 +247,24 @@ def _philox_words(counters: np.ndarray, seed: int, walks: np.ndarray) -> np.ndar
     x2 ^= k1
     x2 ^= np.uint64(s_hi)
     x3 = np.uint64(s_lo)
+    words = None
     for r in range(2, _PHILOX_ROUNDS):
-        # round r uses the key bumped r times by the Weyl constants
+        # round r uses the key bumped r times by the Weyl constants; the
+        # last round writes its lanes (hi1, x2·M1, hi0, x0·M0) into the rows
+        # of `words`, allocated only then to keep the rounds' data in cache
+        if r == _PHILOX_ROUNDS - 1:
+            words = np.empty((4, counters.size), dtype=np.uint64)
         k1 += w1
-        hi0 = _mulhi(_PHILOX_M0, x0)
+        hi0 = _mulhi(_PHILOX_M0, x0, None if words is None else words[2])
         hi0 ^= x3
         hi0 ^= k1
-        hi1 = _mulhi(_PHILOX_M1, x2)
+        hi1 = _mulhi(_PHILOX_M1, x2, None if words is None else words[0])
         hi1 ^= x1
         hi1 ^= np.uint64((seed + r * _PHILOX_W0) & _MASK64)
-        x0 *= m0
-        x2 *= m1
+        x0 = np.multiply(x0, m0, out=x0 if words is None else words[3])
+        x2 = np.multiply(x2, m1, out=x2 if words is None else words[1])
         x0, x1, x2, x3 = hi1, x2, hi0, x0
-    return np.stack((x0, x1, x2, x3))
+    return words
 
 
 def _horner(x2: np.ndarray, coeffs: tuple) -> np.ndarray:
@@ -300,11 +318,11 @@ def estimate_harmonic_measure(
     Reproducible: walk i draws from the Philox4x64-10 stream keyed by
     (seed, i) (see the module docstring), and move m of a walk uses its
     draw m, so the result depends only on (seed, n_walks) and the geometry.
-    The seed lies in [0, 2**63).  The walks run in a pool of at most _BLOCK
-    live walks, refilled in index order every 4 rounds, and absorbed walks
-    are dropped from the position and radius arrays and from the index of
-    columns into the draws, so memory is O(live walks) and draws are made
-    only for live walks, in blocks of 4.
+    The seed lies in [0, 2**63).  More than _MIN_PART walks are split into
+    contiguous ranges of walk indices, at most one per usable core
+    (_split_walks): the caller walks the first (_walk_range) and helper
+    processes the others, and the hit and truncation counts are the sums
+    over the ranges.
     A walk whose own move count reaches max_steps is truncated.
     Ties in the absorption classification go to the path boundary, which
     can only lower the estimate.
@@ -329,18 +347,39 @@ def estimate_harmonic_measure(
         )
 
     n = cfg.n_walks
+    hits, truncated = _split_walks((segs, R, z1, shell, cfg), n)
+    omega_hat = hits / n
+    ci = 1.96 * math.sqrt(omega_hat * (1.0 - omega_hat) / n)
+    warning = None
+    if truncated / n >= 0.01:
+        warning = "%d of %d walks hit the step cap; estimate is biased low" % (
+            truncated,
+            n,
+        )
+    return WosEstimate(omega_hat, ci, hits, truncated, warning)
+
+
+def _walk_range(segs: list, R: float, z1: complex, shell: float, cfg: WosConfig, lo: int, hi: int):
+    """(hits, truncated walks) of the walks lo … hi − 1 from z1, in the
+    prepared geometry of estimate_harmonic_measure.
+
+    The walks run in a pool of at most _BLOCK live walks, refilled in index
+    order every 4 rounds, and absorbed walks are dropped from the position
+    and radius arrays and from the index of columns into the draws, so
+    memory is O(_BLOCK) and draws are made only for live walks, in blocks
+    of 4."""
     walks = np.empty(0, dtype=np.uint64)  # key word 1 of each live walk, ascending
     x = y = np.empty(0)
     # (first walk, entry round) of each refill that may still hold live
     # walks, oldest first; a refill's walks sit at one counter and together
     # reach the step cap at round entry + max_steps
     cohorts = []
-    started = hits = truncated = 0
+    started, hits, truncated = lo, 0, 0
     t = t_block = t_next = 0  # the current block of draws serves rounds t_block … t_next − 1
-    while started < n or walks.size:
+    while started < hi or walks.size:
         fresh = t == t_next
-        if fresh and walks.size < _BLOCK and started < n:
-            free = min(_BLOCK - walks.size, n - started)
+        if fresh and walks.size < _BLOCK and started < hi:
+            free = min(_BLOCK - walks.size, hi - started)
             cohorts.append((started, t))
             walks = np.concatenate((walks, np.arange(started, started + free, dtype=np.uint64)))
             x = np.concatenate((x, np.full(free, z1.real)))
@@ -369,7 +408,7 @@ def estimate_harmonic_measure(
             cohorts = [c for c, size in zip(cohorts, sizes) if size]
             # once every walk has started, a small pool draws its next k
             # blocks in one call of up to _BLOCK // 8 (walk, counter) pairs
-            k = max(1, _BLOCK // 8 // walks.size) if started == n and walks.size else 1
+            k = max(1, _BLOCK // 8 // walks.size) if started == hi and walks.size else 1
             counters = (counters + np.arange(k, dtype=np.uint64)[:, None]).ravel()
             block = _philox_words(counters, cfg.seed, np.tile(walks, k)).reshape(4, k, walks.size)
             # each live walk's column of the block, compacted as walks leave
@@ -382,12 +421,108 @@ def estimate_harmonic_measure(
         uy *= rad
         y += uy
         t += 1
-    omega_hat = hits / n
-    ci = 1.96 * math.sqrt(omega_hat * (1.0 - omega_hat) / n)
-    warning = None
-    if truncated / n >= 0.01:
-        warning = "%d of %d walks hit the step cap; estimate is biased low" % (
-            truncated,
-            n,
-        )
-    return WosEstimate(omega_hat, ci, hits, truncated, warning)
+    return hits, truncated
+
+
+# --- walks on every usable core -----------------------------------------------
+
+# Helper processes as (process, connection) pairs, one per extra usable core:
+# forked on the first estimate that splits and reused by later ones.  A forked
+# child starts without them, so it never writes to its parent's pipes.
+_helpers = []
+os.register_at_fork(after_in_child=_helpers.clear)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _split_walks(job: tuple, n: int):
+    """(hits, truncated walks) of the walks 0 … n − 1 of `job`, the leading
+    arguments of _walk_range, in min(usable cores, ⌈n / _MIN_PART⌉)
+    contiguous ranges: the caller walks the first and each other range goes
+    to a helper.  If the caller fails or is interrupted while a helper holds
+    a range, every helper is stopped, so no later call reads a stale reply;
+    an exception raised in a helper is raised here."""
+    conns = _helper_connections(min(_usable_cores(), -(-n // _MIN_PART)) - 1)
+    bounds = [n * p // (len(conns) + 1) for p in range(len(conns) + 2)]
+    try:
+        for conn, lo, hi in zip(conns, bounds[1:], bounds[2:]):
+            conn.send(job + (lo, hi))
+        hits, truncated = _walk_range(*job, 0, bounds[1])
+        for conn in conns:
+            ok, reply = conn.recv()
+            if not ok:
+                raise reply
+            hits += reply[0]
+            truncated += reply[1]
+    except BaseException:
+        _stop_helpers()
+        raise
+    return hits, truncated
+
+
+def _helper_connections(count: int) -> list:
+    """Connections to `count` helpers, forking those not yet running; fewer
+    (none) where fork is unavailable or fails, or where the process has
+    another thread, since a thread may hold a lock that the forked child
+    would never see released (Python 3.12 warns of it) and two threads
+    would share the helpers' pipes.  The fork context copies the caller's
+    loaded modules, where spawn would import numpy afresh in each helper."""
+    if count <= 0 or threading.active_count() > 1:
+        return []
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return []
+    ctx = multiprocessing.get_context("fork")
+    for dead in [h for h in _helpers if not h[0].is_alive()]:  # killed while idle
+        _helpers.remove(dead)
+        dead[1].close()
+    while len(_helpers) < count:
+        parent_end, child_end = ctx.Pipe()
+        proc = ctx.Process(target=_helper_loop, args=(child_end, parent_end), daemon=True)
+        try:
+            proc.start()
+        except OSError:  # no process to spare: walk what the running helpers can
+            parent_end.close()
+            break
+        except BaseException:
+            parent_end.close()
+            raise
+        finally:
+            child_end.close()
+        _helpers.append((proc, parent_end))
+    return [conn for _, conn in _helpers[:count]]
+
+
+def _helper_loop(conn, parent_end) -> None:
+    """A helper's life: walk each range the parent sends and reply with
+    (True, (hits, truncated)), or (False, exception) if the walk raised.
+    It ends when the parent's end of the pipe closes, on the parent's exit
+    too, so it closes its own copy of that end first.  An interrupt is the
+    parent's to handle."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, _walk_range(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
+
+
+def _stop_helpers() -> None:
+    """Terminate and forget every helper."""
+    while _helpers:
+        proc, conn = _helpers.pop()
+        proc.terminate()
+        proc.join()
+        conn.close()

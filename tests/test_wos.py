@@ -2,7 +2,12 @@ import cmath
 import functools
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
 
 import mpmath
@@ -21,6 +26,7 @@ from asymlab.wos import (
     _distances,
     _philox_words,
     _unit_steps,
+    _walk_range,
     estimate_harmonic_measure,
 )
 
@@ -527,12 +533,15 @@ def test_kernel_slice_size_never_changes_estimate(monkeypatch, kinked, cfg):
         assert got.truncated_walks > 64
 
 
-def test_peak_memory_of_large_estimate():
+def test_peak_memory_of_large_estimate(monkeypatch):
     """Traced peak of a 100k-walk estimate: 3.30 MB measured with numpy
     2.4 (2.90 MB with complex positions), the same at 400k walks, since at
     most _BLOCK walks are live.  Bounded at 4 MB, a margin of 0.7 MB for
     other numpy builds; with every walk live at once the 100k walks peaked
-    at 12.9 MB."""
+    at 12.9 MB.  tracemalloc sees only this process, so the estimates run
+    as on one core: the whole walk loop then runs here, and the bound
+    covers all of it, not just the caller's share of a split."""
+    monkeypatch.setattr(wos, "_usable_cores", lambda: 1)
     z1 = 3.0 * cmath.exp(1j * 0.6)
     for n_walks in (100_000, 400_000):
         tracemalloc.start()
@@ -542,6 +551,207 @@ def test_peak_memory_of_large_estimate():
         finally:
             tracemalloc.stop()
         assert peak < 4e6, n_walks
+
+
+# --- walks split over helper processes ------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Estimates split as on two usable cores, whatever the machine, with
+    helpers forked afresh and stopped afterwards: a helper keeps the module
+    as it was when it was forked."""
+    wos._stop_helpers()
+    monkeypatch.setattr(wos, "_usable_cores", lambda: 2)
+    yield
+    wos._stop_helpers()
+
+
+def helper_pids():
+    return [proc.pid for proc, _ in wos._helpers]
+
+
+# The split tests turn warnings into errors: a helper forked while another
+# thread runs would warn on Python 3.12 and later, and must fail them.
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+@pytest.mark.parametrize(
+    "sysm, z1, cfg",
+    [
+        pytest.param(QSYS, 3.0 * cmath.exp(1j * 0.6), WosConfig(2 * wos._MIN_PART + 1, seed=3), id="uneven"),
+        pytest.param(make_random_system(1003), None, WosConfig(10**5, seed=1003), id="random1003"),
+        pytest.param(
+            QSYS, 0.35 + 0.35j, WosConfig(2 * wos._MIN_PART, eps_shell=1e-20, max_steps=100, seed=1), id="step-cap"
+        ),
+    ],
+)
+def test_split_estimate_matches_one_range(monkeypatch, sysm, z1, cfg):
+    if z1 is None:
+        z1 = domain_probe_point(sysm, 1, 1.0)
+    n = cfg.n_walks
+    got = estimate_harmonic_measure(sysm, 1, 8.0, z1, cfg)
+    assert len(wos._helpers) == 1
+    job = (_boundary_segments(sysm, 1, 8.0), 8.0, z1, cfg.eps_shell * 8.0, cfg)
+    assert (got.hits, got.truncated_walks) == _walk_range(*job, 0, n)
+    monkeypatch.setattr(wos, "_usable_cores", lambda: 1)
+    assert repr(estimate_harmonic_measure(sysm, 1, 8.0, z1, cfg)) == repr(got)
+    if cfg.max_steps == 100:  # both ranges truncate walks
+        assert _walk_range(*job, 0, n // 2)[1] > 0 and _walk_range(*job, n // 2, n)[1] > 0
+
+
+SPLIT_CFG = WosConfig(wos._MIN_PART + 1, seed=5)
+SPLIT_Z1 = 2 + 2j
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+def test_helper_is_reused_and_exits_on_eof():
+    first = estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)
+    pids = helper_pids()
+    assert len(pids) == 1
+    assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)) == repr(first)
+    assert helper_pids() == pids
+    proc, conn = wos._helpers.pop()
+    conn.close()
+    proc.join(timeout=30)
+    assert proc.exitcode == 0
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+@pytest.mark.parametrize("why", ["one-core", "other-thread", "fork-fails"])
+def test_walks_stay_in_caller(monkeypatch, why):
+    """On one core, beside another thread, or where fork fails, no helper
+    starts and the caller walks every range itself, with the same bytes."""
+    cfg = WosConfig(2 * wos._MIN_PART, seed=5)
+    want = repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, cfg))
+    wos._stop_helpers()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "one-core":
+        monkeypatch.setattr(wos, "_usable_cores", lambda: 1)
+    elif why == "other-thread":
+        thread.start()
+    else:
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    try:
+        assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, cfg)) == want
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=30)
+    assert wos._helpers == []
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+def test_interrupted_caller_stops_helpers(monkeypatch):
+    """An interrupt in the caller's own range, while the helper walks its
+    range, stops the helper: the next estimate forks a new one and reads
+    no stale reply, which here would come from another seed."""
+    want = repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG))
+    (proc, _), = wos._helpers
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(wos, "_walk_range", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, WosConfig(SPLIT_CFG.n_walks, seed=6))
+    assert wos._helpers == [] and proc.exitcode is not None
+    monkeypatch.setattr(wos, "_walk_range", _walk_range)
+    assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)) == want
+    new_pids = helper_pids()
+    assert len(new_pids) == 1 and new_pids != [proc.pid]
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+def test_killed_helper_is_replaced():
+    """A helper killed while idle (say by the out-of-memory killer) is
+    replaced; the next estimate used to raise BrokenPipeError."""
+    want = repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG))
+    (proc, _), = wos._helpers
+    proc.kill()
+    proc.join(timeout=30)
+    assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)) == want
+    new_pids = helper_pids()
+    assert len(new_pids) == 1 and new_pids != [proc.pid]
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+def test_forked_child_forgets_helpers():
+    """A process forked from one with helpers does not share their pipes."""
+    estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)
+    assert len(wos._helpers) == 1
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if wos._helpers == [] else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert len(wos._helpers) == 1
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+def test_helper_error_reaches_caller(monkeypatch):
+    def failing_in_helper(*args):
+        lo, hi = args[-2:]
+        if lo > 0:
+            raise ZeroDivisionError("range %d-%d" % (lo, hi))
+        return _walk_range(*args)
+
+    # the helper is forked after the patch, so it runs the patched function
+    monkeypatch.setattr(wos, "_walk_range", failing_in_helper)
+    n = SPLIT_CFG.n_walks
+    with pytest.raises(ZeroDivisionError, match="range %d-%d" % (n // 2, n)):
+        estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)
+    assert wos._helpers == []
+
+
+@needs_fork
+def test_no_helper_outlives_its_parent():
+    """A Python process that splits an estimate and exits leaves no helper
+    running; importing asymlab and an estimate too small to split load no
+    multiprocessing."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import asymlab
+        from asymlab import wos
+        from asymlab.geometry import PathSystem, SegmentalPath
+
+        qsys = PathSystem((SegmentalPath.ray(0.0), SegmentalPath.ray(1.5707963267948966)))
+        wos._usable_cores = lambda: 2
+        wos.estimate_harmonic_measure(qsys, 1, 8.0, 2 + 2j, wos.WosConfig(wos._MIN_PART, seed=1))
+        assert "multiprocessing" not in sys.modules
+        wos.estimate_harmonic_measure(qsys, 1, 8.0, 2 + 2j, wos.WosConfig(wos._MIN_PART + 1, seed=1))
+        print(*[proc.pid for proc, _ in wos._helpers])
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wos.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 1
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 # --- closed-form sectors ------------------------------------------------------
