@@ -17,8 +17,9 @@ s = 2/n - 1,
 
 assembled in log space on numpy arrays by log_dca, so |f| far past e^709
 never overflows.  For |S| < 2, where A_n and the Gamma terms cancel, the
-integrated power series is summed instead.  Quadrature of the integrand
-remains only in eval_dca(..., path=...), an independent check.
+integrated power series is summed instead.  This is the only evaluation
+path; the tests check it against mpmath and, by path independence, against
+Gauss-Kronrod quadrature of g along polylines.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from .gammainc import (
     _ERRSTATE, _log_gamma_upper, _s_tables, log_sum, polar, sector_angles, sum_rows
 )
-from .quadrature import integrate_segment
 
 _SERIES_S = 2.0  # |S| below which the power series is summed
 # with |z^n| = |S|^2 < 4 the series terms z^{nk+1} / (2k+1)! fall below
@@ -66,23 +66,6 @@ class ClassicDCA:
     @property
     def series_cutoff_radius(self) -> float:
         return 144.0 ** (1.0 / self.n)
-
-
-def integrand(w, n: int):
-    """g(w) = sin(s)/s with s^2 = w^n, entire; accepts numpy arrays.
-
-    Either square root of w^n gives the same value because sin(s)/s is
-    even, so no branch choice is ever needed.
-    """
-    w = np.asarray(w, dtype=complex)
-    u = w**n
-    s = np.sqrt(u)
-    small = np.abs(s) < 1e-4
-    s_safe = np.where(small, 1.0, s)
-    out = np.sin(s_safe) / s_safe
-    # two-term Taylor series where s underflows the ratio
-    out = np.where(small, 1.0 - u / 6.0, out)
-    return out
 
 
 def _log_f_series(z, n: int):
@@ -153,29 +136,10 @@ def _log_dca_far(r, th, mod_s, n: int):
     return log_sum(terms) + 2j * math.pi * k / n
 
 
-def eval_dca(z: complex, cfg: ClassicDCA, tol: float = 1e-10, path=None) -> complex:
+def eval_dca(z: complex, cfg: ClassicDCA) -> complex:
     """f(z) as a complex number: the one-point case of log_dca, which
-    raises OverflowError past |f| = e^709 (log_dca itself does not).
-
-    tol is used only with an explicit `path` (waypoint list from 0 to z):
-    then f is the Gauss-Kronrod quadrature of the entire integrand along
-    that polyline, to absolute accuracy ~tol, which must agree with the
-    closed form by path independence.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    z = complex(z)
-    if path is not None:
-        pts = [complex(p) for p in path]
-        if pts[0] != 0 or pts[-1] != z:
-            raise ValueError("path must run from 0 to z")
-        total = 0j
-        for a, b in zip(pts[:-1], pts[1:]):
-            total += integrate_segment(
-                lambda w: integrand(w, cfg.n), a, b, tol / max(1, len(pts) - 1)
-            ).value
-        return total
-    v = log_dca([z], cfg.n)[0]
+    raises OverflowError past |f| = e^709 (log_dca itself does not)."""
+    v = log_dca([complex(z)], cfg.n)[0]
     if v.real > _LOG_MAX:
         raise OverflowError("|f(z)| = e^%.6g overflows a double; use log_dca" % v.real)
     return complex(np.exp(v))

@@ -147,9 +147,6 @@ def _open_out(path: str):
 
 def cmd_construct(args) -> int:
     targets = [parse_target(t) for t in args.a]
-    for t in targets:
-        if not isinstance(t, (Polynomial, Series)):
-            raise UsageError("construction targets must be poly: or series:@")
     if len(targets) != args.n:
         raise UsageError("need exactly n = %d --a targets, got %d" % (args.n, len(targets)))
     cf = ConstructedF(args.n, tuple(targets))
@@ -171,8 +168,6 @@ def cmd_trace(args) -> int:
     if not isinstance(spec, Constructed):
         raise UsageError("trace needs a constructed funcspec")
     radii = parse_radii(args.radii)
-    if not radii:
-        raise UsageError("empty radii list")
     # every ray is evaluated, in one call, before the CSV is opened, so a
     # failure leaves no partial file
     rows = trace_rays(spec, range(1, spec.cf.n + 1), radii)

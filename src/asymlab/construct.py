@@ -75,19 +75,15 @@ def classify_region(z: complex, n: int) -> RegionTag:
     return RegionTag.OUTSIDE
 
 
-def c_constant(n: int, tol: float = 1e-12) -> float:
-    """integral of e^{-t^n} over [0, inf) = Gamma(1 + 1/n).
-
-    tol is accepted for API stability; the closed form does not use it."""
+def c_constant(n: int) -> float:
+    """integral of e^{-t^n} over [0, inf) = Gamma(1 + 1/n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.gamma(1.0 + 1.0 / n)
 
 
-def d_constant(n: int, tol: float = 1e-12) -> float:
-    """integral of t e^{-t^n} over [0, inf) = Gamma(2/n) / n.
-
-    tol is accepted for API stability; the closed form does not use it."""
+def d_constant(n: int) -> float:
+    """integral of t e^{-t^n} over [0, inf) = Gamma(2/n) / n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.gamma(2.0 / n) / n
@@ -191,9 +187,9 @@ def eval_E(z: complex, n: int, tol: float = 1e-9) -> complex:
     """E(z): normalized Cauchy integral of e^{w^n} over the sector boundary.
 
     Defined off the contour; for points within angular tolerance of it the
-    two-sided limits differ and TooCloseToContour is raised.  tol is
-    accepted for API stability; the closed form is accurate to about 1e-13
-    relative.
+    two-sided limits differ and TooCloseToContour is raised.  tol is not
+    read: the closed form is accurate to about 1e-13 relative.  It stays in
+    the signature because acceptance criterion 03 passes it.
     """
     if n < 2:
         raise ValueError("eval_E requires n >= 2")
@@ -204,10 +200,9 @@ def eval_E(z: complex, n: int, tol: float = 1e-9) -> complex:
     return complex(np.exp(_log_phi(z, n, with_exp=False)))
 
 
-def eval_phi(z: complex, n: int, tol: float = 1e-9) -> LogComplex:
+def eval_phi(z: complex, n: int) -> LogComplex:
     """The entire interpolant: e^{z^n} + O(1/z) inside the sector, O(1/z)
-    outside, as a LogComplex.  tol is accepted for API stability; the closed
-    form is accurate to about 1e-13 relative."""
+    outside, as a LogComplex, accurate to about 1e-13 relative."""
     if n < 2:
         raise ValueError("eval_phi requires n >= 2; n = 1 is the trivial construction")
     return LogComplex.from_log(_log_phi(z, n, with_exp=True))

@@ -156,16 +156,6 @@ class SegmentalPath:
                 angles.append((wrap_angle(cmath.phase(a + s * d)), True))
         return angles
 
-    def is_simple(self) -> bool:
-        els = self._elements
-        for i in range(len(els)):
-            for k in range(i + 1, len(els)):
-                pts = _intersect_elements(els[i], els[k])
-                # adjacent elements share exactly one point, the start of the second
-                if pts and not (k == i + 1 and all(abs(p - els[k][0]) < 1e-12 for p in pts)):
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class PathSystem:

@@ -444,8 +444,10 @@ def _split_walks(job: tuple, n: int):
     """(hits, truncated walks) of the walks 0 … n − 1 of `job`, the leading
     arguments of _walk_range, in min(usable cores, ⌈n / _MIN_PART⌉)
     contiguous ranges: the caller walks the first and each other range goes
-    to a helper.  If the caller fails or is interrupted while a helper holds
-    a range, every helper is stopped, so no later call reads a stale reply;
+    to a helper.  A range whose helper dies before replying is walked by
+    the caller, with the same bits, and the next split replaces that
+    helper.  If the caller fails or is interrupted while a helper holds a
+    range, every helper is stopped, so no later call reads a stale reply;
     an exception raised in a helper is raised here."""
     conns = _helper_connections(min(_usable_cores(), -(-n // _MIN_PART)) - 1)
     bounds = [n * p // (len(conns) + 1) for p in range(len(conns) + 2)]
@@ -453,8 +455,11 @@ def _split_walks(job: tuple, n: int):
         for conn, lo, hi in zip(conns, bounds[1:], bounds[2:]):
             conn.send(job + (lo, hi))
         hits, truncated = _walk_range(*job, 0, bounds[1])
-        for conn in conns:
-            ok, reply = conn.recv()
+        for conn, lo, hi in zip(conns, bounds[1:], bounds[2:]):
+            try:
+                ok, reply = conn.recv()
+            except EOFError:  # the helper died in its range: walk it here
+                ok, reply = True, _walk_range(*job, lo, hi)
             if not ok:
                 raise reply
             hits += reply[0]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymlab.classic import ClassicDCA, dca_asymptotic_value, eval_dca
+from asymlab.quadrature import integrate_segment
 
 # frozen 25-digit oracle: integral of sin(t)/t over [0, 1]
 SI_1 = 0.9460830703671830149414
@@ -62,6 +63,34 @@ def test_rotation_structure():
         assert dca_asymptotic_value(nu, n) == pytest.approx(want, abs=1e-12)
 
 
+def integrand(w, n: int):
+    """g(w) = sin(s)/s with s^2 = w^n, entire; accepts numpy arrays.
+
+    Either square root of w^n gives the same value because sin(s)/s is
+    even, so no branch choice is ever needed.
+    """
+    w = np.asarray(w, dtype=complex)
+    u = w**n
+    s = np.sqrt(u)
+    small = np.abs(s) < 1e-4
+    s_safe = np.where(small, 1.0, s)
+    out = np.sin(s_safe) / s_safe
+    # two-term Taylor series where s underflows the ratio
+    out = np.where(small, 1.0 - u / 6.0, out)
+    return out
+
+
+def quadrature_along(path, n: int, tol: float) -> complex:
+    """f at path[-1] as the Gauss-Kronrod quadrature of the integrand along
+    the polyline `path` from 0, to absolute accuracy ~tol: an oracle that
+    shares no code with the closed form."""
+    pts = [complex(p) for p in path]
+    total = 0j
+    for a, b in zip(pts[:-1], pts[1:]):
+        total += integrate_segment(lambda w: integrand(w, n), a, b, tol / max(1, len(pts) - 1)).value
+    return total
+
+
 @given(
     re=st.floats(-8.0, 8.0),
     im=st.floats(-8.0, 8.0),
@@ -75,8 +104,8 @@ def test_path_independence(re, im, wre, wim, n):
     if abs(z) < 0.2:
         return
     cfg = ClassicDCA(n)
-    direct = eval_dca(z, cfg, 1e-10)
-    via = eval_dca(z, cfg, 1e-10, path=[0, complex(wre, wim), z])
+    direct = eval_dca(z, cfg)
+    via = quadrature_along([0, complex(wre, wim), z], n, 1e-10)
     assert abs(direct - via) <= 2e-9 * max(1.0, abs(direct))
 
 
@@ -91,7 +120,7 @@ def test_ray_convergence(n, nu):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_series_beyond_cutoff_continues_by_quadrature():
+def test_continuity_across_series_cutoff_radius():
     cfg = ClassicDCA(2)
     inside = eval_dca(cfg.series_cutoff_radius * 0.999, cfg)
     outside = eval_dca(cfg.series_cutoff_radius * 1.001, cfg)
@@ -116,9 +145,3 @@ def test_validation():
         ClassicDCA(0)
     with pytest.raises(ValueError):
         dca_asymptotic_value(2, 2)
-    with pytest.raises(ValueError):
-        eval_dca(1.0, ClassicDCA(2), tol=-1.0)
-    with pytest.raises(ValueError):
-        eval_dca(1.0, ClassicDCA(2), tol=math.nan)
-    # a tol below every representable term runs the series to its end
-    assert eval_dca(1.0, ClassicDCA(2), tol=5e-324) == pytest.approx(SI_1, abs=1e-12)

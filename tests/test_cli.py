@@ -121,6 +121,12 @@ def test_construct_malformed_target(tmp_path):
     assert run(tmp_path, "construct", "--n", "2", "--a", "poly:", "--a", "poly:1") == 2
 
 
+def test_construct_rejects_a_classic_target(tmp_path, capsys):
+    assert run(tmp_path, "construct", "--n", "2", "--a", "classic:2", "--a", "poly:1") == 2
+    assert "Polynomial or a Series" in capsys.readouterr().err
+    assert not (tmp_path / "funcspec.json").exists()
+
+
 def test_trace_csv(tmp_path, capsys):
     run(tmp_path, "construct", "--n", "2", "--a", "poly:1", "--a", "poly:0,1")
     capsys.readouterr()

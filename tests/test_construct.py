@@ -92,7 +92,7 @@ def test_phi_continuous_across_contour(n, z0):
     h = 1e-4
 
     def side(sgn, hh):
-        return eval_phi(z0 + sgn * hh * nu, n, tol=1e-12).to_complex()
+        return eval_phi(z0 + sgn * hh * nu, n).to_complex()
 
     lim_plus = 2.0 * side(1, h / 2) - side(1, h)
     lim_minus = 2.0 * side(-1, h / 2) - side(-1, h)
@@ -214,7 +214,7 @@ def test_phi_on_sector_boundaries(n):
 def test_phi_finite_everywhere(r, theta, n):
     # phi is entire: any point evaluates to a finite LogComplex
     z = r * cmath.exp(1j * theta)
-    v = eval_phi(z, n, tol=1e-8)
+    v = eval_phi(z, n)
     assert math.isfinite(v.log_mod) or v.is_zero
 
 

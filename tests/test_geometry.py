@@ -545,12 +545,6 @@ def test_point_in_domain_huge_and_subnormal_points():
         point_in_domain(rays, 1, 1e308 - 1j)
 
 
-def test_is_simple():
-    assert SegmentalPath([0, 1, 1 + 10j], 1j).is_simple()
-    # self-crossing bow-tie
-    assert not SegmentalPath([0, 1 + 1j, 1, 1j], 1j).is_simple()
-
-
 def test_ccw_order_enforced():
     with pytest.raises(ValueError):
         PathSystem((SegmentalPath.ray(1.0), SegmentalPath.ray(0.5), SegmentalPath.ray(2.0)))

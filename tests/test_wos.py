@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -684,6 +685,34 @@ def test_killed_helper_is_replaced():
     (proc, _), = wos._helpers
     proc.kill()
     proc.join(timeout=30)
+    assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)) == want
+    new_pids = helper_pids()
+    assert len(new_pids) == 1 and new_pids != [proc.pid]
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+def test_helper_killed_in_its_range_is_walked_by_caller(monkeypatch):
+    """A helper killed while it walks its range leaves that range to the
+    caller, with the same bits; the next estimate forks a new helper.  The
+    estimate used to raise EOFError."""
+    want = repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG))
+    wos._stop_helpers()
+    caller = os.getpid()
+
+    def dying_in_helper(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _walk_range(*args)
+
+    # the helper is forked after the patch, so it runs the patched function
+    monkeypatch.setattr(wos, "_walk_range", dying_in_helper)
+    assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)) == want
+    (proc, _), = wos._helpers
+    proc.join(timeout=30)
+    assert proc.exitcode == -signal.SIGKILL
+    monkeypatch.setattr(wos, "_walk_range", _walk_range)
     assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)) == want
     new_pids = helper_pids()
     assert len(new_pids) == 1 and new_pids != [proc.pid]
