@@ -4,8 +4,9 @@ Subcommands: construct (build a function spec), trace (ray residuals),
 growth (circle scans + order fit), domain (angular measure and Carleman
 bounds, optionally walk-on-spheres), check (bundled verification suite).
 
-Every run writes a manifest/1 JSON echoing the fully resolved
-configuration, so outputs are reproducible from the manifest alone.
+When a subcommand returns (exit 0 or 1), main writes a manifest/1 JSON
+echoing the fully resolved configuration, so outputs are reproducible
+from the manifest alone.  A CSV output path given as - means stdout.
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad
 arguments or input files), 3 numerical nonconvergence, 4 internal error
 (any other exception: a bug, reported with its type and traceback).
@@ -14,10 +15,12 @@ arguments or input files), 3 numerical nonconvergence, 4 internal error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys as _sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 from .classic import ClassicDCA
@@ -111,17 +114,17 @@ def _load_system(args) -> PathSystem:
     raise UsageError("need --system FILE or --rays N")
 
 
-def _write_manifest(args, command: str) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    doc = {"format": "manifest/1", "command": command, "config": cfg}
-    path = Path(args.manifest)
-    path.write_text(json.dumps(doc, indent=2, default=str) + "\n")
+def _write_json(path: str, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _open_out(path: str):
-    if path == "-":
-        return _sys.stdout, False
-    return open(path, "w"), True
+def _write_csv(path: str, header: str, lines) -> None:
+    """The CSV of header and lines (strings without their newline) at
+    path, or on stdout when path is -."""
+    with contextlib.nullcontext(_sys.stdout) if path == "-" else open(path, "w") as out:
+        out.write(header + "\n")
+        for line in lines:
+            out.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +137,11 @@ def cmd_construct(args) -> int:
     cf = ConstructedF(args.n, tuple(targets))
     if args.n == 1:
         print("warning: n = 1 is degenerate (f is asymptotic to a_1 itself)")
-    Path(args.out).write_text(
-        json.dumps(spec_to_json_dict(Constructed(cf)), indent=2) + "\n"
-    )
+    _write_json(args.out, spec_to_json_dict(Constructed(cf)))
     if args.n >= 2:
         print("c_%d = %.12g" % (args.n, c_constant(args.n)))
         print("d_%d = %.12g" % (args.n, d_constant(args.n)))
     print("wrote %s" % args.out)
-    _write_manifest(args, "construct")
     return 0
 
 
@@ -153,15 +153,8 @@ def cmd_trace(args) -> int:
     # every ray is evaluated, in one call, before the CSV is opened, so a
     # failure leaves no partial file
     rows = trace_rays(spec, range(1, spec.cf.n + 1), radii)
-    out, close = _open_out(args.out)
-    try:
-        out.write("ray_index,r,log10_abs_residual\n")
-        for row in rows:
-            out.write(("%d," + _F + "," + _F + "\n") % row)
-    finally:
-        if close:
-            out.close()
-    _write_manifest(args, "trace")
+    _write_csv(args.out, "ray_index,r,log10_abs_residual",
+               (("%d," + _F + "," + _F) % row for row in rows))
     return 0
 
 
@@ -171,27 +164,14 @@ def cmd_growth(args) -> int:
     if len(radii) < 2:
         raise InsufficientDynamicRangeError("need several radii for a fit")
     samples = max_on_circles(spec, radii, coarse=args.coarse)
-    out, close = _open_out(args.out)
-    try:
-        out.write("r,log_max_mod,argmax_theta,domain_id\n")
-        for s in samples:
-            out.write(
-                (_F + "," + _F + "," + _F + ",%s\n")
-                % (s.r, s.log_max_mod, s.argmax_theta, "" if s.domain_id is None else s.domain_id)
-            )
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, "r,log_max_mod,argmax_theta,domain_id", (
+        (_F + "," + _F + "," + _F + ",%s")
+        % (s.r, s.log_max_mod, s.argmax_theta, "" if s.domain_id is None else s.domain_id)
+        for s in samples
+    ))
     fit = fit_order(samples)
-    doc = {
-        "rho_hat": fit.rho_hat,
-        "intercept": fit.intercept,
-        "r_range": list(fit.r_range),
-        "residual_rms": fit.residual_rms,
-    }
-    Path(args.fit_out).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(args.fit_out, asdict(fit))
     print("rho_hat = %.6g" % fit.rho_hat)
-    _write_manifest(args, "growth")
     return 0
 
 
@@ -212,31 +192,15 @@ def cmd_domain(args) -> int:
     doc = {"carleman": reports, "sector_inequality": sector}
     if args.wos:
         est = estimate_harmonic_measure(sysm, args.j, args.R, z1, cfg)
-        doc["wos"] = {
-            "j": args.j,
-            "z1": [z1.real, z1.imag],
-            "seed": args.seed,
-            "n_walks": args.walks,
-            "omega_hat": est.omega_hat,
-            "ci95_halfwidth": est.ci95_halfwidth,
-            "hits": est.hits,
-            "truncated_walks": est.truncated_walks,
-            "warning": est.warning,
-        }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    csv_path = Path(args.slices_out)
-    with csv_path.open("w") as fh:
-        fh.write("j,t,arc_start,arc_end,phi\n")
-        for j in range(1, sysm.n + 1):
-            for t in radii:
-                sl = angular_measure(sysm, j, t)
-                for a, b in sl.arcs:
-                    fh.write(
-                        ("%d," + _F + "," + _F + "," + _F + "," + _F + "\n")
-                        % (j, t, a, b, sl.phi)
-                    )
-    print("wrote %s and %s" % (args.out, csv_path))
-    _write_manifest(args, "domain")
+        doc["wos"] = {"j": args.j, "z1": [z1.real, z1.imag], "seed": args.seed,
+                      "n_walks": args.walks, **asdict(est)}
+    _write_json(args.out, doc)
+    slices = ((j, t, angular_measure(sysm, j, t)) for j in range(1, sysm.n + 1) for t in radii)
+    _write_csv(args.slices_out, "j,t,arc_start,arc_end,phi", (
+        ("%d," + _F + "," + _F + "," + _F + "," + _F) % (j, t, a, b, sl.phi)
+        for j, t, sl in slices for a, b in sl.arcs
+    ))
+    print("wrote %s and %s" % (args.out, Path(args.slices_out)))
     return 0
 
 
@@ -308,10 +272,9 @@ def cmd_check(args) -> int:
             failed.append(name)
     if not results:
         raise UsageError("filter %r matched no checks" % args.filter)
-    Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
+    _write_json(args.out, results)
     for r in results:
         print("%-24s %s" % (r["criterion"], "PASS" if r["pass"] else "FAIL"))
-    _write_manifest(args, "check")
     if failed:
         print("failed: %s" % ", ".join(failed))
         return 1
@@ -376,7 +339,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        rc = args.func(args)
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        _write_json(args.manifest, {"format": "manifest/1", "command": args.command, "config": config})
+        return rc
     except (UsageError, ValueError, FileNotFoundError) as e:
         print("error: %s" % e, file=_sys.stderr)
         return 2

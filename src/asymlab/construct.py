@@ -41,7 +41,7 @@ from .gammainc import (
 )
 from .logcx import LogComplex, wrap_angle
 from .quadrature import integrate_segment, truncation_radius
-from .specs import Polynomial, TargetFunction
+from .specs import Series, TargetFunction
 
 ANG_TOL = 1e-9  # angular width of the contour and of the residual's rays
 
@@ -239,10 +239,7 @@ class ConstructedF:
     @functools.cached_property
     def _horner(self):
         """The targets' coefficients as a read-only (terms, n, 1) stack,
-        highest power first, zero-padded to the longest target, when every
-        target is a Polynomial; else None."""
-        if not all(isinstance(t, Polynomial) for t in self.a_list):
-            return None
+        highest power first, zero-padded to the longest target."""
         top = max(len(t.coeffs) for t in self.a_list)
         c = np.zeros((top, self.n, 1), complex)
         for i, t in enumerate(self.a_list):
@@ -257,14 +254,13 @@ class ConstructedF:
 
 
 def _targets(z, cf: ConstructedF):
-    """The targets a_j(z) (rows) at the points z (columns): Polynomial
-    targets by one Horner pass over their zero-padded coefficients, which
-    gives each row's bits as the target's own call does."""
-    if cf._horner is None:
-        a = np.empty((cf.n, z.size), complex)
-        for i, t in enumerate(cf.a_list):
-            a[i] = t(z)
-        return a
+    """The targets a_j(z) (rows) at the points z (columns), by one Horner
+    pass over their zero-padded coefficients, which gives each row's bits as
+    the target's own call does; a Series target first checks its radius, as
+    its call does."""
+    for t in cf.a_list:
+        if isinstance(t, Series):
+            t.check_radius(z)
     a = np.zeros((cf.n, z.size), complex)
     for c in cf._horner:
         a = a * z + c  # a * z as in Polynomial: with FMA, z * a can round apart

@@ -19,7 +19,6 @@ from .geometry import (
     TWO_PI,
     CarlemanReport,
     EmptySliceError,
-    KappaParams,
     PathSystem,
     angular_measure,
     carleman_report,
@@ -460,7 +459,6 @@ def verify_theorem1(
     R1: float,
     radii,
     kappa: float = 0.5,
-    kappa_params: KappaParams | None = None,
     coarse: int = 128,
 ) -> Theorem1Report:
     """Probe the growth theorem on a finite radius range.
@@ -504,7 +502,7 @@ def verify_theorem1(
         if not sector_max[r]:
             continue
         j_sel = max(sector_max[r], key=lambda j: sector_max[r][j])
-        rep: CarlemanReport = carleman_report(sys, j_sel, R1, r, kappa_params)
+        rep: CarlemanReport = carleman_report(sys, j_sel, R1, r)
         measured = sector_max[r][j_sel]
         checks.append(
             RadiusCheck(

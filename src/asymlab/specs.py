@@ -111,16 +111,26 @@ class Series(_Coeffs):
         object.__setattr__(self, "declared_order", float(declared_order))
         if not self.tail_bound_radius > 0:  # NaN too
             raise ValueError("tail_bound_radius must be > 0")
+        # json.loads reads the Infinity token too
+        if self.tail_bound_radius == math.inf:
+            raise ValueError("tail_bound_radius must be finite")
+        if math.isinf(self.declared_order):  # NaN is no declared order
+            raise ValueError("declared_order must be finite or absent")
 
-    def __call__(self, z):
-        """Value at z, a complex number or a numpy array of them (every
-        element must lie within the certified radius)."""
+    def check_radius(self, z):
+        """Raise ValueError unless every element of z, a complex number or a
+        numpy array of them, lies within the certified radius."""
         r = float(np.max(np.abs(z), initial=0.0))
         if r > self.tail_bound_radius * (1 + 1e-12):
             raise ValueError(
                 "series evaluated at |z|=%g beyond certified radius %g"
                 % (r, self.tail_bound_radius)
             )
+
+    def __call__(self, z):
+        """Value at z, a complex number or a numpy array of them (every
+        element must lie within the certified radius)."""
+        self.check_radius(z)
         return super().__call__(z)
 
     def to_json_dict(self) -> dict:

@@ -164,6 +164,23 @@ def test_construct_rejects_a_nan_tail_bound_radius(tmp_path, capsys):
     assert not (tmp_path / "funcspec.json").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("tail_bound_radius", "Infinity", "tail_bound_radius must be finite"),
+    ("declared_order", "Infinity", "declared_order must be finite or absent"),
+    ("declared_order", "-Infinity", "declared_order must be finite or absent"),
+])
+def test_construct_rejects_an_infinite_series_field(tmp_path, capsys, field, value, message):
+    # json.loads reads the Infinity token; an infinite radius used to certify
+    # the series everywhere, and either field was written back as Infinity,
+    # which is not JSON
+    doc = {"format": "funcspec/1", "kind": "series", "coeffs": [[1, 0], [1, 0]], "tail_bound_radius": 4.0}
+    doc[field] = "@"
+    (tmp_path / "s.json").write_text(json.dumps(doc).replace('"@"', value))
+    assert run(tmp_path, "construct", "--n", "2", "--a", "series:@s.json", "--a", "poly:1") == 2
+    assert "error: %s" % message in capsys.readouterr().err
+    assert not (tmp_path / "funcspec.json").exists()
+
+
 @pytest.mark.parametrize("target", ["poly:nan,1", "poly:1,1e400", "poly:1,nan+1i"])
 def test_growth_rejects_non_finite_coefficients(tmp_path, capsys, target):
     # used to write a growth.csv of nan rows and fail only at the fit
@@ -178,6 +195,7 @@ def test_trace_csv(tmp_path, capsys):
     capsys.readouterr()
     rc = run(tmp_path, "trace", "--spec", "funcspec.json", "--radii", "2:5:1", "--out", "-")
     assert rc == 0
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["command"] == "trace"
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "ray_index,r,log10_abs_residual"
     assert len(lines) == 1 + 8  # 2 rays x 4 radii
@@ -209,7 +227,9 @@ def test_growth_classic(tmp_path, capsys):
     )
     assert rc == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
+    assert list(fit) == ["rho_hat", "intercept", "r_range", "residual_rms"]
     assert abs(fit["rho_hat"] - 1.0) <= 0.25
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["command"] == "growth"
     lines = (tmp_path / "g.csv").read_text().strip().splitlines()
     assert lines[0] == "r,log_max_mod,argmax_theta,domain_id"
     assert len(lines) == 7
@@ -269,6 +289,18 @@ def test_domain_closed_form(tmp_path):
     lines = (tmp_path / "s.csv").read_text().strip().splitlines()
     assert lines[0] == "j,t,arc_start,arc_end,phi"
     assert len(lines) == 1 + 6  # 3 domains x 2 radii, one arc each
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["command"] == "domain"
+
+
+def test_domain_slices_to_stdout(tmp_path, capsys):
+    # - is stdout for every CSV output; the slices CSV used to go to a file named -
+    argv = ["domain", "--rays", "3", "--R1", "1", "--R", "10", "--radii", "1,5"]
+    assert run(tmp_path, *argv, "--slices-out", "s.csv") == 0
+    capsys.readouterr()
+    assert run(tmp_path, *argv, "--slices-out", "-") == 0
+    out = capsys.readouterr().out
+    assert out == (tmp_path / "s.csv").read_text() + "wrote domain.json and -\n"
+    assert not (tmp_path / "-").exists()
 
 
 def test_domain_critical_radius_exit_3(tmp_path):
@@ -303,6 +335,8 @@ def test_domain_wos_seed_echoed(tmp_path):
     )
     assert rc == 0
     doc = json.loads((tmp_path / "d.json").read_text())
+    assert list(doc["wos"]) == ["j", "z1", "seed", "n_walks", "omega_hat", "ci95_halfwidth",
+                                "hits", "truncated_walks", "warning"]
     assert doc["wos"]["seed"] == 99
     assert 0.0 <= doc["wos"]["omega_hat"] <= 1.0
 
@@ -360,6 +394,21 @@ def test_check_unfiltered_passes(tmp_path):
     doc = json.loads((tmp_path / "check.json").read_text())
     assert len(doc) == 5
     assert all(row["pass"] for row in doc)
+
+
+def test_check_failure_exit_1(tmp_path, monkeypatch, capsys):
+    import asymlab.cli as cli
+
+    checks = cli._bundled_checks()
+    checks["sector-inequality"] = lambda: (1.0, 2.0, "lhs >= rhs", False)
+    monkeypatch.setattr(cli, "_bundled_checks", lambda: checks)
+    assert run(tmp_path, "check", "--filter", "sector") == 1
+    out = capsys.readouterr().out
+    assert "sector-inequality        FAIL" in out and "failed: sector-inequality" in out
+    doc = json.loads((tmp_path / "check.json").read_text())
+    assert doc == [{"criterion": "sector-inequality", "measured": 1.0, "expected": 2.0,
+                    "tolerance": "lhs >= rhs", "pass": False}]
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["command"] == "check"
 
 
 def test_check_unknown_filter(tmp_path):
@@ -434,6 +483,7 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_check", broken)
     assert run(tmp_path, "check") == 4
     assert "internal error: TypeError: unsupported operand" in capsys.readouterr().err
+    assert not (tmp_path / "run_manifest.json").exists()  # only a run that returns writes one
 
 
 def test_csv_17_digit_stability(tmp_path):

@@ -84,6 +84,15 @@ def test_series_target_scan_matches_per_point(monkeypatch):
     assert whole.argmax_theta == pytest.approx(single.argmax_theta, abs=1e-6)
 
 
+def test_series_target_scan_beyond_radius_raises():
+    # the targets' shared Horner pass checks a Series target's radius first,
+    # with the message of the target's own call
+    spec = Constructed(ConstructedF(3, (Polynomial([0, 1]), Series([1, 0.5], 10.0), Polynomial([2j]))))
+    assert max_on_circle(spec, 9.0, coarse=64).r == 9.0
+    with pytest.raises(ValueError, match=r"series evaluated at \|z\|=11 beyond certified radius 10"):
+        max_on_circle(spec, 11.0, coarse=64)
+
+
 def _counting_log_mods(monkeypatch):
     """Count every point that max_on_circle evaluates."""
     seen = []

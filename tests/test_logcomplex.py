@@ -2,10 +2,12 @@ import cmath
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymlab.gammainc import _ERRSTATE, log_sum
 from asymlab.logcx import (
     LC_ONE,
     LC_ZERO,
@@ -66,6 +68,27 @@ def test_near_exact_cancellation():
         r = lc_add(a, b)
     # at least ten digits cancelled away (or an exact zero)
     assert r.is_zero or r.log_mod < a.log_mod + math.log(1e-10)
+
+
+def test_log_sum_cancellation_warning():
+    # column 0 keeps 1e-12 of its top term, column 1 all of it
+    terms = np.log(np.array([[1.0, 2.0], [-1.0 + 1e-12, 3.0]], complex))
+    with np.errstate(**_ERRSTATE), pytest.warns(CancellationWarning, match="sum of 2 terms"):
+        out = log_sum(terms)
+    assert out[0].real == pytest.approx(math.log(1e-12), abs=1e-3)
+    assert out[1] == pytest.approx(math.log(5.0))
+
+
+def test_log_sum_non_finite_column():
+    # an all -inf column sums to -inf without a warning, and the finite
+    # columns beside it keep the bits each has summed alone
+    with np.errstate(**_ERRSTATE), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = np.log(np.array([[1.0, 0.0, 2.0 - 1j, 1e300], [3j, 0.0, -4.0, 0.0]], complex))
+        out = log_sum(terms)
+        alone = [log_sum(terms[:, [i]])[0] for i in (0, 2, 3)]
+    assert out[1] == complex(-math.inf, 0.0)
+    assert [out[0], out[2], out[3]] == alone
 
 
 @given(z=st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_nan=False, allow_infinity=False))
