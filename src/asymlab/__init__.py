@@ -22,7 +22,6 @@ from .geometry import (
     CarlemanReport,
     DegenerateRadiusError,
     EmptySliceError,
-    KappaParams,
     LabelConflictError,
     PathSystem,
     SegmentalPath,

@@ -28,7 +28,7 @@ from .construct import ConstructedF, c_constant, d_constant
 from .geometry import (
     DegenerateRadiusError,
     PathSystem,
-    angular_measure,
+    _domain_arcs,
     carleman_integral,
     carleman_report,
     check_sector_inequality,
@@ -79,9 +79,12 @@ def parse_radii(text: str) -> list:
             raise UsageError("radii grid %r has more than %d points" % (text, _MAX_RADII))
         # points a + k·step up to b, with a slop of b·1e-12 for rounding
         # that never reaches half a step; counted rather than accumulated,
-        # since r += step stops advancing when step is below r's resolution
+        # since r += step stops advancing when step is below r's resolution;
+        # rounded to 12 decimals, or to 10 places past the step's leading
+        # digit where that is finer
         hi = min(b * (1 + 1e-12), b + step / 2)
-        return [round(a + k * step, 12) for k in range(int((hi - a) // step) + 1)]
+        ndigits = max(12, 10 - math.floor(math.log10(step)))
+        return [round(a + k * step, ndigits) for k in range(int((hi - a) // step) + 1)]
     out = [float(p) for p in text.split(",")]
     if not all(map(math.isfinite, out)):
         raise UsageError("radii must be finite: %r" % text)
@@ -164,12 +167,13 @@ def cmd_growth(args) -> int:
     if len(radii) < 2:
         raise InsufficientDynamicRangeError("need several radii for a fit")
     samples = max_on_circles(spec, radii, coarse=args.coarse)
+    # fitted before the CSV is opened, so a failed fit leaves no partial output
+    fit = fit_order(samples)
     _write_csv(args.out, "r,log_max_mod,argmax_theta,domain_id", (
         (_F + "," + _F + "," + _F + ",%s")
         % (s.r, s.log_max_mod, s.argmax_theta, "" if s.domain_id is None else s.domain_id)
         for s in samples
     ))
-    fit = fit_order(samples)
     _write_json(args.fit_out, asdict(fit))
     print("rho_hat = %.6g" % fit.rho_hat)
     return 0
@@ -181,10 +185,8 @@ def cmd_domain(args) -> int:
     if args.wos:  # a bad --z1, --walks or --seed is reported before any work
         z1 = parse_complex(args.z1)
         cfg = WosConfig(n_walks=args.walks, seed=args.seed)
-    reports = []
-    for j in range(1, sysm.n + 1):
-        rep = carleman_report(sysm, j, args.R1, args.R, tol=args.tol)
-        reports.append({"j": j, **rep.to_json_dict()})
+    reports = [{"j": j, **asdict(carleman_report(sysm, j, args.R1, args.R, tol=args.tol))}
+               for j in range(1, sysm.n + 1)]
     sector = []
     for t in radii:
         lhs, rhs, holds = check_sector_inequality(sysm, t)
@@ -195,10 +197,12 @@ def cmd_domain(args) -> int:
         doc["wos"] = {"j": args.j, "z1": [z1.real, z1.imag], "seed": args.seed,
                       "n_walks": args.walks, **asdict(est)}
     _write_json(args.out, doc)
-    slices = ((j, t, angular_measure(sysm, j, t)) for j in range(1, sysm.n + 1) for t in radii)
+    # one pass over the paths per radius, written domain by domain
+    per_radius = [tuple(_domain_arcs(sysm, t)) for t in radii]
     _write_csv(args.slices_out, "j,t,arc_start,arc_end,phi", (
-        ("%d," + _F + "," + _F + "," + _F + "," + _F) % (j, t, a, b, sl.phi)
-        for j, t, sl in slices for a, b in sl.arcs
+        ("%d," + _F + "," + _F + "," + _F + "," + _F) % (j, t, a, b, phi)
+        for j, slices in enumerate(zip(*per_radius), 1)
+        for t, (arcs, phi) in zip(radii, slices) for a, b in arcs
     ))
     print("wrote %s and %s" % (args.out, Path(args.slices_out)))
     return 0

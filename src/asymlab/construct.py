@@ -89,10 +89,11 @@ def d_constant(n: int) -> float:
     return math.gamma(2.0 / n) / n
 
 
-def contour_identity(n: int, tol: float = 1e-12) -> complex:
+def contour_identity(n: int) -> complex:
     """(1/2 pi i) integral of e^{w^n} over the contour, by Gauss-Kronrod
-    quadrature of its two rays truncated at truncation_radius; equals
-    (c_n / pi) sin(pi / n)."""
+    quadrature of its two rays truncated at truncation_radius, to a
+    tolerance of 1e-12; equals (c_n / pi) sin(pi / n)."""
+    tol = 1e-12
     T = truncation_radius(n, tol)
 
     def integrand(w):

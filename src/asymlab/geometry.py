@@ -13,9 +13,8 @@ two bounding paths with a far circular arc and takes a winding number.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -207,9 +206,6 @@ class PathSystem:
         ]
         return {"format": "pathsystem/1", "paths": paths}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     @staticmethod
     def from_json_dict(d: dict) -> "PathSystem":
         if d.get("format") != "pathsystem/1":
@@ -222,15 +218,9 @@ class PathSystem:
         return PathSystem(tuple(paths), tuple(labels))
 
     @staticmethod
-    def from_json(text: str) -> "PathSystem":
-        return PathSystem.from_json_dict(json.loads(text))
-
-    @staticmethod
-    def equally_spaced_rays(n: int, labels=None, base_angle: float | None = None) -> "PathSystem":
-        if base_angle is None:
-            base_angle = TWO_PI / n
-        paths = (SegmentalPath.ray(wrap_angle(base_angle + TWO_PI * k / n)) for k in range(n))
-        return PathSystem(paths, labels)
+    def equally_spaced_rays(n: int) -> "PathSystem":
+        """Rays at angles 2 pi k / n, k = 1..n, labelled a1..an."""
+        return PathSystem(SegmentalPath.ray(wrap_angle(TWO_PI / n + TWO_PI * k / n)) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -248,32 +238,16 @@ class AngularSlice:
 
 
 @dataclass(frozen=True)
-class KappaParams:
-    """Exponents rho < kappa1 < kappa2 < kappa recorded for the growth
-    hypothesis checker."""
-
-    kappa: float = 0.5
-    kappa1: float = 0.25
-    kappa2: float = 0.4
-
-    def __post_init__(self):
-        if not 0 < self.kappa1 < self.kappa2 < self.kappa:
-            raise ValueError("need 0 < kappa1 < kappa2 < kappa")
-
-
-@dataclass(frozen=True)
 class CarlemanReport:
     R1: float
     R: float
     integral_I: float
     omega_bound: float
     logM_lower: float
-    kappa: float
-    kappa1: float
-    kappa2: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    # exponents rho < kappa1 < kappa2 < kappa of the growth hypothesis
+    kappa: float = 0.5
+    kappa1: float = 0.25
+    kappa2: float = 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +319,20 @@ def _arcs(left: list, right: list | None) -> tuple:
             arcs.append((th, th_next))
             total += th_next - th
     return tuple(arcs), min(total, TWO_PI)
+
+
+def _domain_arcs(sys: PathSystem, t: float):
+    """angular_measure's (arcs, phi) for j = 1..n in turn, each path's
+    crossings with |z| = t found once, when the first domain it bounds
+    needs them, so a failure comes where angular_measure over j = 1..n
+    would raise first."""
+    _check_radius("radius", t)
+    first = left = sys.paths[0]._crossings(t)
+    for path in sys.paths[1:]:
+        right = path._crossings(t)
+        yield _arcs(left, right)
+        left = right
+    yield _arcs(left, None if sys.n == 1 else first)
 
 
 def _phi_near(sys: PathSystem, j: int, t0: float):
@@ -451,12 +439,10 @@ def carleman_report(
     j: int,
     R1: float,
     R: float,
-    kappa_params: KappaParams | None = None,
     tol: float = 1e-10,
 ) -> CarlemanReport:
     """Harmonic-measure upper bound and max-modulus lower bound for domain
     j between radii R1 and R; the two are exact reciprocals."""
-    kp = kappa_params or KappaParams()
     integral = carleman_integral(sys, j, R1, R, tol)
     om0 = (8.0 / math.pi) * math.exp(-math.pi * integral)
     # the two bounds are exact reciprocals; nudge within one ulp so the
@@ -469,33 +455,21 @@ def carleman_report(
         (om0, 1.0 / om0),  # not reached in practice
     )
     return CarlemanReport(R1=R1, R=R, integral_I=integral, omega_bound=omega_bound,
-                          logM_lower=logm_lower, kappa=kp.kappa, kappa1=kp.kappa1, kappa2=kp.kappa2)
+                          logM_lower=logm_lower)
 
 
 def check_sector_inequality(sys: PathSystem, t: float):
     """Cauchy-Schwarz bound sum_j 1/Phi_j(t) >= n^2 / (2 pi); returns
-    (lhs, rhs, holds).  Phi_j(t) is angular_measure's, from each path's
-    crossings with |z| = t found once; raises what angular_measure over
-    j = 1..n would raise first, or EmptySliceError for the first j whose
-    Phi_j(t) is 0."""
-    _check_radius("radius", t)
-    n = sys.n
-    # filled in the order the domains first need them, paths[j - 1] then
-    # paths[j % n], so a failure comes where angular_measure's would
-    cache = {}
-
-    def crossings(i):
-        if i not in cache:
-            cache[i] = sys.paths[i]._crossings(t)
-        return cache[i]
-
+    (lhs, rhs, holds).  Phi_j(t) is angular_measure's, from _domain_arcs'
+    one pass over the paths' crossings with |z| = t; raises what
+    angular_measure over j = 1..n would raise first, or EmptySliceError
+    for the first j whose Phi_j(t) is 0."""
     lhs = 0.0
-    for j in range(1, n + 1):
-        phi = _arcs(crossings(j - 1), None if n == 1 else crossings(j % n))[1]
+    for j, (_, phi) in enumerate(_domain_arcs(sys, t), 1):
         if phi <= 0:
             raise EmptySliceError("domain %d misses the circle at t=%g" % (j, t))
         lhs += 1.0 / phi
-    rhs = n * n / TWO_PI
+    rhs = sys.n * sys.n / TWO_PI
     return lhs, rhs, lhs >= rhs * (1.0 - 1e-9)
 
 

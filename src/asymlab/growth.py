@@ -8,7 +8,7 @@ order n can be scanned far past double-precision overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, get_args
 
 import numpy as np
@@ -17,9 +17,9 @@ from .classic import ClassicDCA, log_dca_polar
 from .construct import ConstructedF, log_f_polar, log_residual_polar
 from .geometry import (
     TWO_PI,
-    CarlemanReport,
     EmptySliceError,
     PathSystem,
+    _domain_arcs,
     angular_measure,
     carleman_report,
 )
@@ -396,7 +396,7 @@ def trace_rays(spec: EntireSpec, rays, radii) -> list:
     radii, ray after ray, of a constructed spec, in one array evaluation
     of the polar points (r, angle of ray j)."""
     if not isinstance(spec, Constructed):
-        raise TypeError("trace_ray needs a Constructed spec")
+        raise TypeError("trace_rays needs a Constructed spec")
     radii = np.asarray(radii, dtype=float).ravel()
     if not np.all(np.isfinite(radii)):
         raise ValueError("radii must be finite")
@@ -449,9 +449,6 @@ class Theorem1Report:
     radius_checks: tuple
     consistent_all: bool
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def verify_theorem1(
     spec: EntireSpec,
@@ -476,7 +473,7 @@ def verify_theorem1(
     n = sys.n
     # the circles each domain meets, found radius by radius so that a
     # degenerate radius raises where a scan of (r, j) in that order would
-    meets = {(r, j): bool(angular_measure(sys, j, r).arcs) for r in radii for j in range(1, n + 1)}
+    meets = {(r, j): bool(arcs) for r in radii for j, (arcs, _) in enumerate(_domain_arcs(sys, r), 1)}
     per_domain: dict[int, list[float]] = {j: [] for j in range(1, n + 1)}
     sector_max: dict[float, dict[int, float]] = {r: {} for r in radii}
     for j in range(1, n + 1):
@@ -502,7 +499,7 @@ def verify_theorem1(
         if not sector_max[r]:
             continue
         j_sel = max(sector_max[r], key=lambda j: sector_max[r][j])
-        rep: CarlemanReport = carleman_report(sys, j_sel, R1, r)
+        rep = carleman_report(sys, j_sel, R1, r)
         measured = sector_max[r][j_sel]
         checks.append(
             RadiusCheck(

@@ -103,10 +103,10 @@ def lc_mul(a: LogComplex, b: LogComplex) -> LogComplex:
     return LogComplex(a.log_mod + b.log_mod, wrap_angle(a.arg + b.arg))
 
 
-def lc_add(a: LogComplex, b: LogComplex, cancel_rel: float = 1e-10) -> LogComplex:
+def lc_add(a: LogComplex, b: LogComplex) -> LogComplex:
     """Sum computed by factoring out the larger modulus.
 
-    Emits CancellationWarning when |a + b| < cancel_rel * max(|a|, |b|);
+    Emits CancellationWarning when |a + b| < 1e-10 * max(|a|, |b|);
     the returned value is then best-effort only.
     """
     if a.is_zero:
@@ -120,7 +120,7 @@ def lc_add(a: LogComplex, b: LogComplex, cancel_rel: float = 1e-10) -> LogComple
     # s = 1 + (b/a); |b/a| <= 1 so the exp cannot overflow.
     s = 1.0 + cmath.exp(complex(b.log_mod - a.log_mod, b.arg - a.arg))
     mag = abs(s)
-    if mag < cancel_rel:
+    if mag < 1e-10:
         warnings.warn(
             "lc_add: catastrophic cancellation (|a+b|/max(|a|,|b|) = %.3e)" % mag,
             CancellationWarning,

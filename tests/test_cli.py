@@ -123,6 +123,13 @@ def test_parse_radii_tiny_step():
     assert len(grid) == 40 and grid[-2] == 112.666666666667
 
 
+def test_parse_radii_steps_below_1e_12():
+    # rounding to 12 decimals made five 0.0 of the first grid, and repeated
+    # points in the second
+    assert parse_radii("1e-13:5e-13:1e-13") == [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]
+    assert parse_radii("1e-12:5e-12:5e-13") == [1e-12, 1.5e-12, 2e-12, 2.5e-12, 3e-12, 3.5e-12, 4e-12, 4.5e-12, 5e-12]
+
+
 # --- subcommands -----------------------------------------------------------
 
 def test_construct_writes_spec_and_manifest(tmp_path, capsys):
@@ -274,6 +281,14 @@ def test_growth_single_radius_fails(tmp_path):
     assert run(tmp_path, "growth", "--f", "poly:0,1", "--radii", "5", "--out", "g.csv") == 2
 
 
+def test_growth_failed_fit_writes_nothing(tmp_path, capsys):
+    # the fit runs before the CSV is written; a growth.csv used to be left behind
+    assert run(tmp_path, "growth", "--f", "poly:1", "--radii", "2,3") == 2
+    assert "need at least 4 samples" in capsys.readouterr().err
+    for name in ("growth.csv", "orderfit.json", "run_manifest.json"):
+        assert not (tmp_path / name).exists(), name
+
+
 def test_domain_closed_form(tmp_path):
     rc = run(
         tmp_path, "domain", "--rays", "3", "--R1", "1", "--R", "10",
@@ -292,6 +307,27 @@ def test_domain_closed_form(tmp_path):
     assert json.loads((tmp_path / "run_manifest.json").read_text())["command"] == "domain"
 
 
+def test_domain_slices_of_a_kinked_system(tmp_path):
+    # the CSV's one pass over the paths per radius gives the rows of
+    # angular_measure, domain by domain
+    from asymlab.geometry import PathSystem, angular_measure
+
+    from conftest import make_random_system
+
+    (tmp_path / "sys.json").write_text(json.dumps(make_random_system(5, 3).to_json_dict()))
+    # the system as the CLI reads it: the terminal directions pass through their angles
+    sysm = PathSystem.from_json_dict(json.loads((tmp_path / "sys.json").read_text()))
+    radii = [0.3, 0.9, 1.6, 2.5, 7.0]
+    argv = ["domain", "--system", "sys.json", "--R", "10", "--radii", ",".join(map(repr, radii))]
+    assert run(tmp_path, *argv, "--slices-out", "s.csv") == 0
+    want = ["j,t,arc_start,arc_end,phi"]
+    for j in range(1, 4):
+        for t in radii:
+            sl = angular_measure(sysm, j, t)
+            want += ["%d,%.17g,%.17g,%.17g,%.17g" % (j, t, a, b, sl.phi) for a, b in sl.arcs]
+    assert (tmp_path / "s.csv").read_text().splitlines() == want
+
+
 def test_domain_slices_to_stdout(tmp_path, capsys):
     # - is stdout for every CSV output; the slices CSV used to go to a file named -
     argv = ["domain", "--rays", "3", "--R1", "1", "--R", "10", "--radii", "1,5"]
@@ -307,7 +343,7 @@ def test_domain_critical_radius_exit_3(tmp_path):
     from asymlab.geometry import PathSystem, SegmentalPath
 
     sysm = PathSystem((SegmentalPath([0, 1, 1 + 10j], 1j), SegmentalPath.ray(3.0)))
-    (tmp_path / "sys.json").write_text(sysm.to_json())
+    (tmp_path / "sys.json").write_text(json.dumps(sysm.to_json_dict()))
     rc = run(
         tmp_path, "domain", "--system", "sys.json", "--R", "12",
         "--radii", "1", "--out", "d.json", "--slices-out", "s.csv",
@@ -487,7 +523,8 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_csv_17_digit_stability(tmp_path):
-    run(tmp_path, "growth", "--f", "poly:0,1", "--radii", "2,3,4,5", "--out", "g.csv", "--fit-out", "f.json")
+    # the fit needs four samples with ln r > 1, the largest 4 times the smallest
+    run(tmp_path, "growth", "--f", "poly:0,1", "--radii", "2,3,10,30,100", "--out", "g.csv", "--fit-out", "f.json")
     row = (tmp_path / "g.csv").read_text().strip().splitlines()[1].split(",")
     # 17 significant digits reproduce the double exactly
     import math

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import re
 
@@ -12,7 +13,6 @@ from asymlab.geometry import (
     AngularSlice,
     DegenerateRadiusError,
     EmptySliceError,
-    KappaParams,
     LabelConflictError,
     PathSystem,
     SegmentalPath,
@@ -25,7 +25,7 @@ from asymlab.geometry import (
     paths_intersect_beyond,
     point_in_domain,
 )
-from asymlab.geometry import _check_radius, _intersect_elements, _phi_near, _smooth_intervals
+from asymlab.geometry import _check_radius, _domain_arcs, _intersect_elements, _phi_near, _smooth_intervals
 from asymlab.logcx import wrap_angle
 
 from conftest import make_random_system
@@ -266,6 +266,10 @@ def _reference_sector(sysm, t):
     return lhs, rhs, lhs >= rhs * (1.0 - 1e-9)
 
 
+def _reference_domain_arcs(sysm, t):
+    return [(sl.arcs, sl.phi) for sl in (_reference_measure(sysm, j, t) for j in range(1, sysm.n + 1))]
+
+
 def _outcome(f, *args):
     try:
         return repr(f(*args))
@@ -301,6 +305,10 @@ def test_crossings_slices_and_sectors_keep_their_bits(sysm):
     for t in radii:
         t = float(t)
         assert _outcome(check_sector_inequality, sysm, t) == _outcome(_reference_sector, sysm, t)
+        # the one pass over the paths gives every domain's slice, and fails
+        # where the first failing domain would
+        one_pass = _outcome(lambda: list(_domain_arcs(sysm, t)))
+        assert one_pass == _outcome(_reference_domain_arcs, sysm, t)
         for j in range(1, sysm.n + 1):
             assert _outcome(angular_measure, sysm, j, t) == _outcome(_reference_measure, sysm, j, t)
         for p in sysm.paths:
@@ -467,11 +475,6 @@ def test_carleman_report_empty_range():
     assert rep.logM_lower == pytest.approx(math.pi / 8.0)
 
 
-def test_kappa_params_validation():
-    with pytest.raises(ValueError):
-        KappaParams(kappa=0.3, kappa1=0.4, kappa2=0.35)
-
-
 # --- sector inequality -----------------------------------------------------
 
 def test_sector_equality_for_rays():
@@ -632,7 +635,7 @@ def test_normalize_idempotent(seed):
 
 def test_json_roundtrip():
     sysm = make_random_system(7)
-    back = PathSystem.from_json(sysm.to_json())
+    back = PathSystem.from_json_dict(json.loads(json.dumps(sysm.to_json_dict())))
     assert back.n == sysm.n
     for p, q in zip(sysm.paths, back.paths):
         assert all(abs(a - b) < 1e-15 for a, b in zip(p.vertices, q.vertices))
@@ -642,4 +645,4 @@ def test_json_roundtrip():
 
 def test_json_format_guard():
     with pytest.raises(ValueError):
-        PathSystem.from_json('{"format": "other/9", "paths": []}')
+        PathSystem.from_json_dict(json.loads('{"format": "other/9", "paths": []}'))

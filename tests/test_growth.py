@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import typing
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -590,7 +591,7 @@ def test_verify_theorem1_constructed():
     assert rep.hypothesis_met
     assert rep.conclusion_positive
     assert rep.consistent_all
-    d = rep.to_json_dict()
+    d = asdict(rep)
     assert d["conclusion_min_ratio"] > 0
 
 
