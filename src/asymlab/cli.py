@@ -28,7 +28,7 @@ from .construct import ConstructedF, c_constant, d_constant
 from .geometry import (
     DegenerateRadiusError,
     PathSystem,
-    _domain_arcs,
+    _sector_pass,
     carleman_integral,
     carleman_report,
     check_sector_inequality,
@@ -187,18 +187,19 @@ def cmd_domain(args) -> int:
         cfg = WosConfig(n_walks=args.walks, seed=args.seed)
     reports = [{"j": j, **asdict(carleman_report(sysm, j, args.R1, args.R, tol=args.tol))}
                for j in range(1, sysm.n + 1)]
-    sector = []
+    # one pass over the paths per radius gives the sector rows and the slices
+    sector, per_radius = [], []
     for t in radii:
-        lhs, rhs, holds = check_sector_inequality(sysm, t)
+        (lhs, rhs, holds), slices = _sector_pass(sysm, t)
         sector.append({"t": t, "lhs": lhs, "rhs": rhs, "holds": holds})
+        per_radius.append(slices)
     doc = {"carleman": reports, "sector_inequality": sector}
     if args.wos:
         est = estimate_harmonic_measure(sysm, args.j, args.R, z1, cfg)
         doc["wos"] = {"j": args.j, "z1": [z1.real, z1.imag], "seed": args.seed,
                       "n_walks": args.walks, **asdict(est)}
     _write_json(args.out, doc)
-    # one pass over the paths per radius, written domain by domain
-    per_radius = [tuple(_domain_arcs(sysm, t)) for t in radii]
+    # written domain by domain
     _write_csv(args.slices_out, "j,t,arc_start,arc_end,phi", (
         ("%d," + _F + "," + _F + "," + _F + "," + _F) % (j, t, a, b, phi)
         for j, slices in enumerate(zip(*per_radius), 1)

@@ -464,13 +464,22 @@ def check_sector_inequality(sys: PathSystem, t: float):
     one pass over the paths' crossings with |z| = t; raises what
     angular_measure over j = 1..n would raise first, or EmptySliceError
     for the first j whose Phi_j(t) is 0."""
+    return _sector_pass(sys, t)[0]
+
+
+def _sector_pass(sys: PathSystem, t: float):
+    """check_sector_inequality's (lhs, rhs, holds), and the (arcs, phi) of
+    j = 1..n that it read from _domain_arcs, for a caller that writes the
+    slices as well; raises as check_sector_inequality does."""
+    slices = []
     lhs = 0.0
-    for j, (_, phi) in enumerate(_domain_arcs(sys, t), 1):
-        if phi <= 0:
+    for j, sl in enumerate(_domain_arcs(sys, t), 1):
+        if sl[1] <= 0:
             raise EmptySliceError("domain %d misses the circle at t=%g" % (j, t))
-        lhs += 1.0 / phi
+        lhs += 1.0 / sl[1]
+        slices.append(sl)
     rhs = sys.n * sys.n / TWO_PI
-    return lhs, rhs, lhs >= rhs * (1.0 - 1e-9)
+    return (lhs, rhs, lhs >= rhs * (1.0 - 1e-9)), slices
 
 
 def a0_constant(kappa1: float) -> float:

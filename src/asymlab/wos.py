@@ -39,12 +39,16 @@ absorbed before their lane comes up are never converted.
 An estimate of more than _MIN_PART walks splits the walk indices into
 contiguous ranges, at most one per usable core: the caller walks the first
 range in its own pool, and persistent helper processes, forked on the first
-split, walk the others and send back their counts.  A walk's draws and
-moves depend only on its own index and move count, and the hit and
-truncation counts are integer sums over walks, so neither the pool, nor k,
-nor the number of ranges ever changes a bit.  Memory is O(_BLOCK) in each
-process however many walks run, and 10⁷ walks take about 5.5 s on a
-2-core Xeon (9.9 s on one of its cores).
+split, walk the others and send back their counts.  Before each split the
+helpers are limited to the caller's usable CPUs other than the one the
+caller runs on (Linux affinity masks, _keep_helpers_off_caller): left to
+the scheduler, a helper often shared the caller's CPU, and the two ranges
+took as long as the whole estimate on one core.  A walk's draws and moves
+depend only on its own index and move count, and the hit and truncation
+counts are integer sums over walks, so neither the pool, nor k, nor the
+number of ranges, nor where they run ever changes a bit.  Memory is
+O(_BLOCK) in each process however many walks run, and 10⁷ walks take about
+5 s on a 2-core Xeon (10.1 s on one of its cores).
 """
 
 from __future__ import annotations
@@ -99,9 +103,12 @@ for _table in (_CELL_COS, _CELL_SIN):
 # Live walks in the pool, chosen by measurement: the dozen uint64 temporaries
 # of a kernel call, 128 KB each, fit a 2 MB L2 cache together.
 _BLOCK = 16384
-_MAX_WALKS = 10**7  # largest n_walks: it bounds the run time, about 5.5 s on a 2-core Xeon
-# An estimate of at most _MIN_PART walks runs in the caller alone: below it
-# the domain workload's median op read higher with a helper's hand-off.
+_MAX_WALKS = 10**7  # largest n_walks: it bounds the run time, about 5 s on a 2-core Xeon
+# An estimate of at most _MIN_PART walks runs in the caller alone.  At
+# 10 000, so that the domain workload's 20 000-walk estimates split too, its
+# ops_per_s rose 10-25% on a 2-core Xeon VM, but its median op, a 20 µs
+# slice or sector query that runs in the caller alone, read 25-28% slower
+# over three sets of paired 25 s runs (2 of 24 pairs faster).
 _MIN_PART = 50_000
 
 
@@ -451,6 +458,8 @@ def _split_walks(job: tuple, n: int):
     an exception raised in a helper is raised here."""
     conns = _helper_connections(min(_usable_cores(), -(-n // _MIN_PART)) - 1)
     bounds = [n * p // (len(conns) + 1) for p in range(len(conns) + 2)]
+    if conns:
+        _keep_helpers_off_caller(len(conns))
     try:
         for conn, lo, hi in zip(conns, bounds[1:], bounds[2:]):
             conn.send(job + (lo, hi))
@@ -468,6 +477,33 @@ def _split_walks(job: tuple, n: int):
         _stop_helpers()
         raise
     return hits, truncated
+
+
+def _caller_cpu() -> int:
+    """The CPU the calling thread last ran on: field 39 of its Linux
+    /proc stat line, the 37th after the name, which is skipped up to its
+    last ")" since it may hold spaces and parentheses itself."""
+    with open("/proc/thread-self/stat", "rb") as f:
+        stat = f.read()
+    return int(stat[stat.rindex(b")") + 2:].split()[36])
+
+
+def _keep_helpers_off_caller(count: int) -> None:
+    """Limit the first `count` helpers to the caller's usable CPUs other than
+    the one it runs on, so that a helper's range does not queue behind the
+    caller's own; the caller's mask is never changed.  Silently nothing
+    where the CPU or the mask cannot be read or no other CPU is usable, and
+    nothing for a helper that has exited (its range is then walked here)."""
+    try:
+        mask = os.sched_getaffinity(0) - {_caller_cpu()}
+    except (OSError, ValueError, IndexError, AttributeError):
+        return
+    if mask:
+        for proc, _ in _helpers[:count]:
+            try:
+                os.sched_setaffinity(proc.pid, mask)
+            except OSError:
+                pass
 
 
 def _helper_connections(count: int) -> list:

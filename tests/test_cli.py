@@ -328,6 +328,44 @@ def test_domain_slices_of_a_kinked_system(tmp_path):
     assert (tmp_path / "s.csv").read_text().splitlines() == want
 
 
+@pytest.mark.parametrize("source", ["rays3", "kinked"])
+def test_domain_sector_rows_are_check_sector_inequality(tmp_path, source):
+    # the sector rows come from the slices' one pass over the paths per
+    # radius, with check_sector_inequality's values
+    from asymlab.geometry import PathSystem, check_sector_inequality
+
+    from conftest import make_random_system
+
+    if source == "rays3":
+        sysm, argv = PathSystem.equally_spaced_rays(3), ["--rays", "3"]
+    else:
+        (tmp_path / "sys.json").write_text(json.dumps(make_random_system(5, 3).to_json_dict()))
+        sysm = PathSystem.from_json_dict(json.loads((tmp_path / "sys.json").read_text()))
+        argv = ["--system", "sys.json"]
+    radii = [0.3, 0.9, 1.6, 2.5, 7.0]
+    argv += ["--R", "10", "--radii", ",".join(map(repr, radii)), "--out", "d.json", "--slices-out", "s.csv"]
+    assert run(tmp_path, "domain", *argv) == 0
+    want = [dict(zip(("t", "lhs", "rhs", "holds"), (t, *check_sector_inequality(sysm, t)))) for t in radii]
+    assert json.loads((tmp_path / "d.json").read_text())["sector_inequality"] == want
+
+
+@pytest.mark.parametrize("radii, code, message", [("0.5,1", 2, "domain 1 misses"), ("1,0.5", 3, "")])
+def test_domain_first_failing_radius_decides(tmp_path, capsys, radii, code, message):
+    # domain 1 of the pinched system misses every circle inside |z| = 1,
+    # and |z| = 1 passes its vertex: the first radius's error is reported
+    import cmath
+
+    from asymlab.geometry import PathSystem, SegmentalPath
+
+    sysm = PathSystem((SegmentalPath.ray(0.0), SegmentalPath([0, cmath.exp(1e-16j)], 1j)))
+    (tmp_path / "sys.json").write_text(json.dumps(sysm.to_json_dict()))
+    argv = ["domain", "--system", "sys.json", "--R1", "1.5", "--R", "4", "--radii", radii,
+            "--out", "d.json", "--slices-out", "s.csv"]
+    assert run(tmp_path, *argv) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists() and not (tmp_path / "s.csv").exists()
+
+
 def test_domain_slices_to_stdout(tmp_path, capsys):
     # - is stdout for every CSV output; the slices CSV used to go to a file named -
     argv = ["domain", "--rays", "3", "--R1", "1", "--R", "10", "--radii", "1,5"]

@@ -750,6 +750,102 @@ def test_helper_error_reaches_caller(monkeypatch):
     assert wos._helpers == []
 
 
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or not os.path.exists("/proc/thread-self/stat"),
+    reason="helpers are kept off the caller's CPU through Linux affinity masks",
+)
+
+
+def affinity_spy(monkeypatch, usable, error=None):
+    """Make the caller's usable mask `usable` and record each
+    sched_setaffinity call as (pid, mask) instead of making it, raising
+    `error` after recording it if given."""
+    calls = []
+
+    def spy(pid, mask):
+        calls.append((pid, set(mask)))
+        if error is not None:
+            raise error
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    return calls
+
+
+def one_core_repr(monkeypatch, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(wos, "_usable_cores", lambda: 1)
+        return repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, cfg))
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+def test_helpers_are_kept_off_the_callers_cpu(monkeypatch):
+    """Before each split every helper gets the caller's usable mask less
+    the CPU the caller runs on, read again at every split; the caller's
+    own mask is never set, and the bytes are the one-core run's."""
+    cfg = WosConfig(3 * wos._MIN_PART, seed=5)
+    want = one_core_repr(monkeypatch, cfg)
+    monkeypatch.setattr(wos, "_usable_cores", lambda: 3)
+    calls = affinity_spy(monkeypatch, {0, 1, 2, 3})
+    for cpu in (2, 0):
+        monkeypatch.setattr(wos, "_caller_cpu", lambda cpu=cpu: cpu)
+        del calls[:]
+        assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, cfg)) == want
+        pids = helper_pids()
+        assert len(pids) == 2
+        assert calls == [(pid, {0, 1, 2, 3} - {cpu}) for pid in pids]
+        assert os.getpid() not in pids
+    # an estimate too small to split sets no mask
+    del calls[:]
+    estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, WosConfig(wos._MIN_PART, seed=5))
+    assert calls == []
+
+
+def unreadable_cpu():
+    raise OSError(2, "No such file or directory")
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cores")
+@pytest.mark.parametrize("why", ["cpu-unreadable", "no-other-cpu", "helper-exited"])
+def test_helper_mask_failures_are_silent(monkeypatch, why):
+    """Where the caller's CPU cannot be read, where it is the only usable
+    CPU, or where a helper has exited before its mask is set, nothing
+    escapes and the estimate keeps the one-core bytes."""
+    want = one_core_repr(monkeypatch, SPLIT_CFG)
+    calls = affinity_spy(
+        monkeypatch, {1} if why == "no-other-cpu" else {0, 1},
+        ProcessLookupError(3, "No such process") if why == "helper-exited" else None,
+    )
+    monkeypatch.setattr(wos, "_caller_cpu", unreadable_cpu if why == "cpu-unreadable" else lambda: 1)
+    assert repr(estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)) == want
+    assert len(wos._helpers) == 1
+    assert calls == ([(helper_pids()[0], {0})] if why == "helper-exited" else [])
+
+
+@needs_fork
+@needs_affinity
+@pytest.mark.filterwarnings("error")  # an unclosed /proc file would warn
+@pytest.mark.usefixtures("two_cores")
+def test_helper_mask_on_this_machine():
+    """With real masks: the reader gives one of the caller's usable CPUs,
+    the helper's mask is the caller's less one of its CPUs where it has
+    two or more (the caller's otherwise, as under `taskset -c 0`), and the
+    caller's mask is as before."""
+    usable = os.sched_getaffinity(0)
+    assert wos._caller_cpu() in usable
+    estimate_harmonic_measure(QSYS, 1, 8.0, SPLIT_Z1, SPLIT_CFG)
+    assert os.sched_getaffinity(0) == usable
+    helper_mask = os.sched_getaffinity(helper_pids()[0])
+    if len(usable) >= 2:
+        assert helper_mask < usable and len(usable - helper_mask) == 1
+    else:
+        assert helper_mask == usable
+
+
 @needs_fork
 def test_no_helper_outlives_its_parent():
     """A Python process that splits an estimate and exits leaves no helper
